@@ -9,13 +9,12 @@
 //     combinations during the search. Gate: joint must not be slower overall.
 //  3. parallel: the full canonical-pattern sweep on 1 thread vs a small
 //     worker pool (ematch::search_all; identical results by construction).
-//  4. apply: full exploration runs; the staged pipeline with a stage-1
-//     worker pool vs the serial baseline (the same staged code at
-//     apply_threads = 1, the determinism anchor), with the legacy direct
-//     path (TensatOptions::staged_apply = false) reported for context.
-//     Compares accumulated ExploreStats::apply_seconds and records the
-//     per-phase breakdown. Gate: staged with the pool must not be slower
-//     than the serial staged baseline overall.
+//  4. apply: full exploration runs; the plan/commit apply pipeline with a
+//     worker pool vs the serial baseline (the same code at apply_threads = 1,
+//     the determinism anchor). Compares accumulated
+//     ExploreStats::apply_seconds and records the per-phase breakdown.
+//     Gate: the pooled apply must not be slower than the serial baseline
+//     overall.
 //  5. cycles: full exploration runs; incremental cycle analysis
 //     (TensatOptions::incremental_cycles, journal/epoch descendants map +
 //     scoped sweep) vs the fresh-rebuild baseline, comparing
@@ -325,16 +324,14 @@ int main(int argc, char** argv) {
     par_rows.push_back(std::move(row));
   }
 
-  // ---- Section 4: serial staged apply vs pooled staged apply ---------------
+  // ---- Section 4: serial apply vs pooled apply ------------------------------
   // Full exploration runs from a fresh seed each repetition; only the apply
   // phase (ExploreStats::apply_seconds) is compared — search, rebuild, and
   // extraction are identical work on both sides. The baseline is the SAME
-  // staged code at apply_threads = 1 (the determinism anchor: any thread
-  // count produces a bit-identical e-graph, so this is purely a throughput
-  // comparison). The legacy direct path is reported for context: it does
-  // less total node work (it reuses the live hash-cons mid-iteration, which
-  // snapshot planning cannot), the deficit the stage-1 pool repays.
-  // SharedMM is the apply-heavy blow-up shape; BERT the model workload.
+  // code at apply_threads = 1 (the determinism anchor: any thread count
+  // produces a bit-identical e-graph, so this is purely a throughput
+  // comparison). SharedMM is the apply-heavy blow-up shape; BERT the model
+  // workload.
   struct ApplyStats {
     double apply_seconds{0.0};
     double search_seconds{0.0};
@@ -343,19 +340,17 @@ int main(int argc, char** argv) {
   };
   struct ApplyRow {
     std::string name;
-    ApplyStats serial;   // staged, apply_threads = 1
-    ApplyStats pooled;   // staged, apply_threads = apply_pool
-    ApplyStats legacy;   // direct path (staged_apply = false), context only
+    ApplyStats serial;  // apply_threads = 1
+    ApplyStats pooled;  // apply_threads = apply_pool
   };
   std::vector<ApplyRow> apply_rows;
 
-  const auto measure_apply = [&rules](const Graph& g, bool staged, size_t threads,
+  const auto measure_apply = [&rules](const Graph& g, size_t threads,
                                       double min_seconds = 0.5) {
     TensatOptions opt;
     opt.k_max = 3;
     opt.k_multi = 1;
     opt.node_limit = 6000;
-    opt.staged_apply = staged;
     opt.apply_threads = threads;
     ApplyStats acc;
     size_t reps = 0;
@@ -388,20 +383,18 @@ int main(int argc, char** argv) {
   // the comparison degenerates to 1x by construction.
   const size_t apply_pool = std::min<size_t>(4, resolve_threads(0));
 
-  std::printf("\n%-24s %12s %12s %12s | %12s | %8s   (%zu threads)\n",
-              "apply phase", "staged-1t s", "staged-Nt s", "legacy s",
-              "applications", "speedup", apply_pool);
+  std::printf("\n%-24s %12s %12s | %12s | %8s   (%zu threads)\n",
+              "apply phase", "1t s", "Nt s", "applications", "speedup",
+              apply_pool);
   for (const ApplyWorkload& w : apply_workloads) {
     ApplyRow row;
     row.name = w.name;
-    row.serial = measure_apply(w.graph, /*staged=*/true, /*threads=*/1);
-    row.pooled = apply_pool > 1
-                     ? measure_apply(w.graph, /*staged=*/true, apply_pool)
-                     : row.serial;
-    row.legacy = measure_apply(w.graph, /*staged=*/false, /*threads=*/1);
-    std::printf("%-24s %12.4f %12.4f %12.4f | %12zu | %7.2fx\n", row.name.c_str(),
+    row.serial = measure_apply(w.graph, /*threads=*/1);
+    row.pooled =
+        apply_pool > 1 ? measure_apply(w.graph, apply_pool) : row.serial;
+    std::printf("%-24s %12.4f %12.4f | %12zu | %7.2fx\n", row.name.c_str(),
                 row.serial.apply_seconds, row.pooled.apply_seconds,
-                row.legacy.apply_seconds, row.pooled.applications,
+                row.pooled.applications,
                 row.serial.apply_seconds / row.pooled.apply_seconds);
     apply_rows.push_back(std::move(row));
   }
@@ -1049,7 +1042,7 @@ int main(int argc, char** argv) {
   std::fprintf(f, "{\n");
   // Provenance: enough to tell which commit, build flavor, and machine class
   // produced the numbers when two BENCH_ematch.json artifacts disagree.
-  std::fprintf(f, "  \"schema_version\": 6,\n");
+  std::fprintf(f, "  \"schema_version\": 7,\n");
   std::fprintf(f, "  \"git_sha\": \"%s\",\n", build_git_sha());
   std::fprintf(f, "  \"build_type\": \"%s\",\n", build_type());
   std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
@@ -1113,10 +1106,9 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"apply\": {\n");
   std::fprintf(f, "    \"workload\": \"full exploration runs (k_max=3, k_multi=1, "
-                  "node_limit=6000): staged plan/commit apply pipeline, "
+                  "node_limit=6000): plan/commit apply pipeline, "
                   "apply_threads=1 (serial baseline, the determinism anchor) vs a "
-                  "stage-1 worker pool, plus the legacy direct path for context; "
-                  "seconds are ExploreStats per-phase timings\",\n");
+                  "worker pool; seconds are ExploreStats per-phase timings\",\n");
   std::fprintf(f, "    \"threads\": %zu,\n", apply_pool);
   std::fprintf(f, "    \"rows\": [\n");
   for (size_t i = 0; i < apply_rows.size(); ++i) {
@@ -1127,12 +1119,11 @@ int main(int argc, char** argv) {
                  "\"search_seconds\": %.6f, \"rebuild_seconds\": %.6f},\n"
                  "       \"staged_pool\": {\"apply_seconds\": %.6f, "
                  "\"search_seconds\": %.6f, \"rebuild_seconds\": %.6f},\n"
-                 "       \"legacy_direct\": {\"apply_seconds\": %.6f},\n"
                  "       \"speedup\": %.2f}%s\n",
                  r.name.c_str(), r.pooled.applications, r.serial.apply_seconds,
                  r.serial.search_seconds, r.serial.rebuild_seconds,
                  r.pooled.apply_seconds, r.pooled.search_seconds,
-                 r.pooled.rebuild_seconds, r.legacy.apply_seconds,
+                 r.pooled.rebuild_seconds,
                  r.serial.apply_seconds / r.pooled.apply_seconds,
                  i + 1 < apply_rows.size() ? "," : "");
   }

@@ -27,22 +27,6 @@ std::optional<Id> EGraph::lookup(TNode node) const {
   return find(it->second);
 }
 
-Id EGraph::insert_new_class(TNode node, ValueInfo data) {
-  const Id id = uf_.make_set();
-  TENSAT_CHECK(id == static_cast<Id>(classes_.size()), "class id mismatch");
-  classes_.emplace_back();
-  EClass& cls = classes_[id];
-  cls.data = std::move(data);
-  cls.nodes.push_back(EClassNode{node, next_stamp_++, false});
-  op_index_[static_cast<size_t>(node.op)].push_back(id);
-  for (Id c : node.children) classes_[find(c)].parents.emplace_back(node, id);
-  shard(node).emplace(std::move(node), id);
-  ++num_enodes_total_;
-  if (journal_ != nullptr) journal_->new_classes.push_back(id);
-  ++version_;
-  return id;
-}
-
 std::optional<Id> EGraph::try_add(TNode node) {
   node = canonicalize(node);
   const auto& sh = shard(node);
@@ -55,15 +39,20 @@ std::optional<Id> EGraph::try_add(TNode node) {
   for (Id c : node.children) inputs.push_back(classes_[find(c)].data);
   auto data = infer(node, inputs);
   if (!data.has_value()) return std::nullopt;  // shape check failed
-  return insert_new_class(std::move(node), std::move(*data));
-}
 
-Id EGraph::try_add_planned(TNode node, const ValueInfo& data) {
-  node = canonicalize(node);
-  const auto& sh = shard(node);
-  auto it = sh.find(node);
-  if (it != sh.end()) return find(it->second);
-  return insert_new_class(std::move(node), data);
+  const Id id = uf_.make_set();
+  TENSAT_CHECK(id == static_cast<Id>(classes_.size()), "class id mismatch");
+  classes_.emplace_back();
+  EClass& cls = classes_[id];
+  cls.data = std::move(*data);
+  cls.nodes.push_back(EClassNode{node, next_stamp_++, false});
+  op_index_[static_cast<size_t>(node.op)].push_back(id);
+  for (Id c : node.children) classes_[find(c)].parents.emplace_back(node, id);
+  shard(node).emplace(std::move(node), id);
+  ++num_enodes_total_;
+  if (journal_ != nullptr) journal_->new_classes.push_back(id);
+  ++version_;
+  return id;
 }
 
 Id EGraph::add(TNode node) {
@@ -114,7 +103,6 @@ bool EGraph::merge(Id a, Id b) {
   EClass& winner = classes_[root];
   EClass& loser = classes_[other];
   join_data(winner.data, loser.data);
-  ++winner.data_epoch;  // conservative: any join invalidates plan-time reads
   std::move(loser.nodes.begin(), loser.nodes.end(), std::back_inserter(winner.nodes));
   std::move(loser.parents.begin(), loser.parents.end(),
             std::back_inserter(winner.parents));
@@ -337,69 +325,15 @@ std::optional<Id> NodeBuffer::stage(TNode node) {
   auto inferred = infer(node, inputs_scratch_);
   if (!inferred.has_value()) return std::nullopt;  // shape check failed
 
-  // Record each real child's data epoch: commit() uses it to prove the
-  // inputs this infer just consumed are still bit-identical at commit time.
-  std::vector<uint32_t> child_epochs;
-  child_epochs.reserve(node.children.size());
-  for (Id c : node.children)
-    child_epochs.push_back(is_staged(c) ? 0 : eg_->data_epoch(c));
-
   const Id id = id_of(entries_.size());
   memo_.emplace(node, id);
-  entries_.push_back(Entry{std::move(node), std::move(*inferred),
-                           std::move(child_epochs), kInvalidId, false});
+  entries_.push_back(Entry{std::move(node), std::move(*inferred)});
   return id;
 }
 
 const ValueInfo& NodeBuffer::data(Id id) const {
   if (!is_staged(id)) return eg_->data(id);
   return entries_[index_of(id)].data;
-}
-
-std::optional<Id> NodeBuffer::commit(EGraph& eg, Id id) {
-  if (!is_staged(id)) return eg.find(id);
-  Entry& entry = entries_[index_of(id)];
-  if (entry.committed != kInvalidId) return eg.find(entry.committed);
-  if (entry.commit_failed) return std::nullopt;
-  TNode node = entry.node;  // entry.node stays in staged form (re-commit safe)
-  // Reuse proof: if every child's live analysis data is bit-identical to
-  // what stage()'s infer consumed, the planned data *is* the re-infer
-  // result (infer is deterministic), and the second infer can be skipped.
-  bool reuse = true;
-  for (size_t i = 0; i < node.children.size(); ++i) {
-    const Id orig = node.children[i];
-    auto real = commit(eg, orig);
-    if (!real.has_value()) {
-      entry.commit_failed = true;
-      return std::nullopt;
-    }
-    if (!is_staged(orig)) {
-      // Real child: still its own canonical representative and untouched by
-      // any merge since plan time => data unchanged (merge is the only
-      // ValueInfo mutator and always bumps data_epoch).
-      if (*real != orig || eg.data_epoch(orig) != entry.child_epochs[i])
-        reuse = false;
-    } else {
-      // Staged child: it may have landed in a pre-existing class whose data
-      // drifted from the plan (merges can coarsen hist / set weight_only,
-      // and a congruent node added via a different route can differ more).
-      // Compare the landed data against the planned data outright.
-      if (!(eg.data(*real) == entries_[index_of(orig)].data)) reuse = false;
-    }
-    node.children[i] = *real;
-  }
-  std::optional<Id> added;
-  if (reuse) {
-    added = eg.try_add_planned(std::move(node), entry.data);
-  } else {
-    added = eg.try_add(std::move(node));
-    if (!added.has_value()) {
-      entry.commit_failed = true;
-      return std::nullopt;
-    }
-  }
-  entry.committed = *added;
-  return added;
 }
 
 void EGraph::set_filtered(Id class_id, size_t index) {

@@ -29,7 +29,8 @@ namespace tensat {
 /// consumers re-canonicalize through find() when they drain the journal, so
 /// later merges folding a recorded class away are harmless.
 struct CycleJournal {
-  /// E-class ids created by try_add (one per genuinely new e-node).
+  /// E-class ids created by try_add or commit_prepared (one per genuinely
+  /// new e-node).
   std::vector<Id> new_classes;
   /// Real merges as (a, b) canonical-at-merge-time pairs, in merge order —
   /// both the apply phase's merges and rebuild()'s congruence merges.
@@ -61,13 +62,6 @@ struct EClass {
   /// (parent e-node as inserted, parent class at insertion) — repaired lazily.
   std::vector<std::pair<TNode, Id>> parents;
   ValueInfo data;
-  /// Bumped every time a merge joins another class's data into this one
-  /// (whether or not the join changed anything — conservative). Lets the
-  /// apply pipeline's commit phase prove "this class's analysis data is
-  /// bit-identical to what the plan phase read" without storing a copy:
-  /// find(c) == c and an unchanged epoch imply unchanged data, because
-  /// merge() is the only ValueInfo mutator.
-  uint32_t data_epoch{0};
 };
 
 class EGraph {
@@ -79,15 +73,6 @@ class EGraph {
   /// Adds an e-node (children are e-class ids; they get canonicalized).
   /// Returns nullopt if the analysis rejects it (shape check failure).
   std::optional<Id> try_add(TNode node);
-
-  /// try_add, but with the analysis data supplied by the caller instead of
-  /// re-running infer() — the commit half of the apply pipeline uses this to
-  /// kill the double shape-infer on new nodes. Sound only when the caller
-  /// can prove every child's analysis data is bit-identical to what the
-  /// plan-time infer consumed (see NodeBuffer::commit's reuse guard); the
-  /// result is then exactly what try_add would have produced. Never fails
-  /// the shape check (the plan already passed it on identical inputs).
-  Id try_add_planned(TNode node, const ValueInfo& data);
 
   /// Adds an e-node that must be valid; throws on shape-check failure.
   Id add(TNode node);
@@ -115,10 +100,6 @@ class EGraph {
 
   [[nodiscard]] const EClass& eclass(Id id) const { return classes_[find(id)]; }
   [[nodiscard]] const ValueInfo& data(Id id) const { return classes_[find(id)].data; }
-  /// Merge counter of `id`'s canonical class (see EClass::data_epoch).
-  [[nodiscard]] uint32_t data_epoch(Id id) const {
-    return classes_[find(id)].data_epoch;
-  }
 
   /// Ids of all canonical (live) e-classes.
   [[nodiscard]] std::vector<Id> canonical_classes() const;
@@ -160,7 +141,7 @@ class EGraph {
   /// nodes by final id (base + j, j < i). The caller guarantees the e-graph
   /// is clean (rebuilt, no pending merges), every node is absent from the
   /// hash-cons, children are canonical, and the batch has no duplicates —
-  /// exactly what the optimizer's sharded-commit resolve pass establishes.
+  /// exactly what the optimizer's commit resolve pass establishes.
   ///
   /// All ordered artifacts (ids, stamps, journal entries, version) are
   /// assigned serially up front; only the hash-cons / op-index / parent /
@@ -203,10 +184,6 @@ class EGraph {
  private:
   void repair(Id id);
   static void join_data(ValueInfo& into, const ValueInfo& from);
-  /// Creates a brand-new singleton class for `node` (already canonical and
-  /// known absent from the hash-cons) carrying `data`. The shared tail of
-  /// try_add / try_add_planned.
-  Id insert_new_class(TNode node, ValueInfo data);
   /// The hash-cons shard holding `node` (sharded by op symbol so disjoint
   /// regions of a batch commit can fill concurrently).
   std::unordered_map<TNode, Id, TNodeHash>& shard(const TNode& node) {
@@ -249,10 +226,11 @@ class EGraph {
 /// the plan half of the apply pipeline's plan/commit split. stage() shape-
 /// checks and hash-conses candidate nodes without touching the e-graph;
 /// nodes not already present get negative placeholder ids (is_staged) that
-/// later staged nodes may use as children. commit() then replays a staged
-/// node (children first) into the real e-graph through the ordinary try_add
-/// path, so duplicates staged by concurrent planners collapse through the
-/// real hash-cons.
+/// later staged nodes may use as children. The buffer never writes the
+/// e-graph itself: the optimizer's commit reads the staged entries back
+/// (staged_node / staged_data), resolves them to final ids — deduplicating
+/// nodes staged by different planners — and inserts the batch through
+/// EGraph::commit_prepared.
 ///
 /// The snapshot e-graph must be clean (rebuilt) while staging: stage() then
 /// only performs pure reads, so any number of NodeBuffers can plan against
@@ -278,29 +256,13 @@ class NodeBuffer {
   /// Number of staged (not already present) nodes.
   [[nodiscard]] size_t size() const { return entries_.size(); }
 
-  /// Commits the node behind `id` into `eg` (the same e-graph this buffer
-  /// was planned against, possibly mutated since by earlier commits),
-  /// children first, memoizing per entry. Real ids pass through find().
-  /// Returns nullopt if a shape check fails at commit time — possible when
-  /// intervening merges coarsened an analysis value the plan relied on.
-  ///
-  /// Analysis reuse: when every child's live analysis data is provably
-  /// bit-identical to what stage()'s infer consumed (real children: still
-  /// canonical + unchanged data_epoch; staged children: landed class data
-  /// equals the planned data), the planned ValueInfo is handed to
-  /// try_add_planned and the commit-time re-infer is skipped — infer() is
-  /// deterministic, so the result is exactly the legacy one. Any drift
-  /// falls back to the full try_add re-infer path, shape failures included.
-  std::optional<Id> commit(EGraph& eg, Id id);
-
   /// The snapshot this buffer stages against.
   [[nodiscard]] const EGraph& egraph() const { return *eg_; }
 
-  /// Batch-resolve support (the optimizer's sharded commit reads staged
-  /// entries directly instead of replaying them through commit()): the
-  /// staged entry behind `id`, children still in mixed real/staged form,
-  /// and its planned analysis data. `staged_index` maps a staged id to its
-  /// dense entry index in [0, size()).
+  /// Batch-resolve support for the optimizer's commit: the staged entry
+  /// behind `id`, children still in mixed real/staged form, and its planned
+  /// analysis data. `staged_index` maps a staged id to its dense entry index
+  /// in [0, size()).
   [[nodiscard]] const TNode& staged_node(Id id) const {
     return entries_[index_of(id)].node;
   }
@@ -315,12 +277,6 @@ class NodeBuffer {
   struct Entry {
     TNode node;  // children: canonical class ids or staged ids
     ValueInfo data;
-    /// Per-child EGraph::data_epoch captured at stage() time (0 for staged
-    /// children — their guard compares landed data directly). Parallel to
-    /// node.children; powers commit()'s analysis-reuse proof.
-    std::vector<uint32_t> child_epochs;
-    Id committed{kInvalidId};
-    bool commit_failed{false};
   };
   [[nodiscard]] static constexpr size_t index_of(Id id) {
     return static_cast<size_t>(-(id + 2));

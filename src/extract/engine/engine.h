@@ -19,7 +19,7 @@
 // The monolithic path survives as ExtractEngineOptions::decompose = false —
 // the differential oracle (tests/extract_test.cpp, tests/extract_fuzz_test
 // .cpp pin exact-cost parity on every instance both paths solve), following
-// the same convention as search_pattern_naive and staged_apply = false.
+// the same convention as search_pattern_naive and cartesian_join.
 #pragma once
 
 #include <cstdint>

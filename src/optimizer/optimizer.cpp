@@ -24,11 +24,11 @@ struct Application {
   Subst subst;
 };
 
-/// The read-only prefix shared by the direct path and stage-1 planning: the
-/// rule condition on the matched variables' analysis data, then the
-/// efficient pre-filter (Algorithm 2, lines 3-9) — skip the substitution if
-/// a matched class is a descendant of (or is) a class we would merge into.
-/// Pure reads; on a clean e-graph, safe for concurrent callers.
+/// The read-only checks stage-1 planning runs first: the rule condition on
+/// the matched variables' analysis data, then the efficient pre-filter
+/// (Algorithm 2, lines 3-9) — skip the substitution if a matched class is a
+/// descendant of (or is) a class we would merge into. Pure reads; on a clean
+/// e-graph, safe for concurrent callers.
 bool passes_read_only_checks(const EGraph& eg, const Application& app,
                              CycleFilterMode mode, const ReachabilityMap* dmap) {
   const Rewrite& rule = *app.rule;
@@ -54,43 +54,10 @@ bool passes_read_only_checks(const EGraph& eg, const Application& app,
 
 /// The merge is only sound if the target computes a value of the same kind
 /// and shape as its matched source class. Deliberately a subset of
-/// ValueInfo::operator== (hist/num/str/weight_only are joinable); the direct
-/// path, stage-1 planning, and the stage-2 re-check must all agree on it.
+/// ValueInfo::operator== (hist/num/str/weight_only are joinable); stage-1
+/// planning and the merge pass's re-check must agree on it.
 bool merge_sound(const ValueInfo& a, const ValueInfo& b) {
   return a.kind == b.kind && a.shape == b.shape && a.shape2 == b.shape2;
-}
-
-/// Applies one substitution with the configured cycle handling. Returns true
-/// if the e-graph changed.
-bool apply_one(EGraph& eg, const Application& app, CycleFilterMode mode,
-               const ReachabilityMap* dmap) {
-  const Rewrite& rule = *app.rule;
-  if (!passes_read_only_checks(eg, app, mode, dmap)) return false;
-
-  // Instantiate every target pattern (monotone adds; cannot create cycles).
-  std::vector<Id> targets;
-  targets.reserve(rule.dst_roots.size());
-  for (Id dst_root : rule.dst_roots) {
-    auto target = instantiate(eg, rule.pat, dst_root, app.subst);
-    if (!target.has_value()) return false;  // shape check failed
-    targets.push_back(*target);
-  }
-  for (size_t k = 0; k < targets.size(); ++k)
-    if (!merge_sound(eg.data(app.src_classes[k]), eg.data(targets[k]))) return false;
-
-  bool changed = false;
-  for (size_t k = 0; k < targets.size(); ++k) {
-    const Id src = eg.find(app.src_classes[k]);
-    const Id dst = eg.find(targets[k]);
-    if (src == dst) continue;
-    if (mode == CycleFilterMode::kVanilla && merge_would_create_cycle(eg, src, dst)) {
-      // Vanilla filtering (paper §5.2): discard the substitution. The target
-      // nodes stay in the e-graph unmerged, which is harmless.
-      continue;
-    }
-    changed |= eg.merge(src, dst);
-  }
-  return changed;
 }
 
 /// Adds the guarded scope's wall time to `acc` on every exit path — the
@@ -128,8 +95,9 @@ struct ApplyPlan {
 
 /// Stage 1 of the apply pipeline (parallel, read-only): evaluates the rule
 /// condition, the efficient-cycle pre-filter, and plans the target
-/// instantiation against the clean e-graph snapshot. Mirrors apply_one up to
-/// (but excluding) the merges; writes only into `plan` and `chunk`.
+/// instantiation against the clean e-graph snapshot. An instantiation is
+/// all-or-nothing: a shape failure drops the whole plan, so no partial nodes
+/// ever reach the e-graph. Writes only into `plan` and `chunk`.
 void plan_application(const EGraph& eg, const Application& app, ApplyPlan& plan,
                       PlanChunk& chunk, CycleFilterMode mode,
                       const ReachabilityMap* dmap) {
@@ -157,38 +125,7 @@ void plan_application(const EGraph& eg, const Application& app, ApplyPlan& plan,
   plan.viable = true;
 }
 
-/// Stage 2 of the apply pipeline (serial, plan order): commits a viable
-/// plan's staged nodes through the real hash-cons — duplicates planned by
-/// other applications collapse here — and performs the merges. Returns true
-/// if the e-graph changed. `committed` is caller-owned scratch.
-bool commit_application(EGraph& eg, const Application& app, const ApplyPlan& plan,
-                        PlanChunk& chunk, CycleFilterMode mode,
-                        std::vector<Id>& committed) {
-  committed.clear();
-  for (uint32_t k = 0; k < plan.targets_count; ++k) {
-    auto id = chunk.buf.commit(eg, chunk.targets[plan.targets_first + k]);
-    if (!id.has_value()) return false;  // commit-time shape check failed
-    committed.push_back(*id);
-  }
-  // Re-verify merge soundness on the live analysis data: commits earlier in
-  // the batch can have joined analysis values (e.g. cleared a concat
-  // history) since the plan compared against the snapshot.
-  for (size_t k = 0; k < committed.size(); ++k)
-    if (!merge_sound(eg.data(app.src_classes[k]), eg.data(committed[k])))
-      return false;
-  bool changed = false;
-  for (size_t k = 0; k < committed.size(); ++k) {
-    const Id src = eg.find(app.src_classes[k]);
-    const Id dst = eg.find(committed[k]);
-    if (src == dst) continue;
-    if (mode == CycleFilterMode::kVanilla && merge_would_create_cycle(eg, src, dst))
-      continue;
-    changed |= eg.merge(src, dst);
-  }
-  return changed;
-}
-
-/// Sharded-commit working state: the prepared batch plus the cross-chunk
+/// Stage-2 working state: the prepared batch plus the cross-chunk
 /// deduplication map (final-form node -> final id). Fresh ids are assigned
 /// densely from `base` in first-resolution order — a pure function of the
 /// plan order, independent of every thread count.
@@ -200,12 +137,12 @@ struct BatchCommit {
 
 /// Resolves one staged id to its final e-class id, children first,
 /// memoizing per chunk entry. Sound because the resolve pass runs against
-/// the untouched clean snapshot (no merges precede it in batch mode): real
-/// children are still canonical, every all-real staged node is still
-/// absent from the hash-cons (stage() proved absence and nothing was
-/// added), and a node with a fresh child cannot pre-exist (no live node
-/// references an id >= base). Resolution therefore cannot fail — the plan
-/// already passed the only gate (shape inference) on identical inputs.
+/// the untouched clean snapshot (no merges precede it): real children are
+/// still canonical, every all-real staged node is still absent from the
+/// hash-cons (stage() proved absence and nothing was added), and a node
+/// with a fresh child cannot pre-exist (no live node references an id >=
+/// base). Resolution therefore cannot fail — the plan already passed the
+/// only gate (shape inference) on identical inputs.
 Id resolve_staged(const PlanChunk& chunk, std::vector<Id>& memo, Id id,
                   BatchCommit& bc, size_t& fresh) {
   if (!NodeBuffer::is_staged(id)) return id;  // canonical real id
@@ -270,14 +207,13 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
   const size_t iter_base = session != nullptr ? session->iteration_base : 0;
 
   // Which rules consume each canonical pattern: a pattern whose every user
-  // is inactive this iteration (banned, or multi-pattern past k_multi) need
-  // not be searched at all. Under the joint plan, multi-pattern rules search
-  // through their own joint program instead, so they don't keep a canonical
-  // pattern alive — patterns only multi-pattern rules use are never searched
-  // separately.
+  // is inactive this iteration (banned) need not be searched at all.
+  // Multi-pattern rules search through their own joint program instead, so
+  // they don't keep a canonical pattern alive — patterns only multi-pattern
+  // rules use are never searched separately.
   std::vector<std::vector<size_t>> pattern_users(plan.patterns.size());
   for (size_t r = 0; r < rules.size(); ++r) {
-    if (options.joint_multi && rules[r].is_multi()) continue;
+    if (rules[r].is_multi()) continue;
     for (const SourceBinding& sb : plan.rule_sources[r])
       pattern_users[sb.pattern_index].push_back(r);
   }
@@ -365,10 +301,10 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
     }
 
     // SEARCH: all canonical patterns with at least one active consumer, once
-    // each (Algorithm 1 line 10), plus — under the joint plan — one joint
-    // search per active multi-pattern rule. All searches are read-only over
-    // the clean e-graph, so they fan out across the worker pool; results
-    // land in per-task slots and are identical for any thread count.
+    // each (Algorithm 1 line 10), plus one joint search per active
+    // multi-pattern rule. All searches are read-only over the clean e-graph,
+    // so they fan out across the worker pool; results land in per-task slots
+    // and are identical for any thread count.
     std::vector<std::vector<PatternMatch>> matches(plan.patterns.size());
     std::vector<std::vector<ematch::JointMatch>> joint_matches(rules.size());
     struct SearchTask {
@@ -381,9 +317,9 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
     };
     std::vector<SearchTask> tasks;
     for (size_t p = 0; p < plan.patterns.size(); ++p) {
-      // A pattern with no users at all (under the joint plan: sources only
-      // multi-pattern rules consume) is covered elsewhere by design — it is
-      // not a "skipped" search.
+      // A pattern with no users at all (a source only multi-pattern rules
+      // consume) is covered by the joint search by design — it is not a
+      // "skipped" search.
       if (pattern_users[p].empty()) continue;
       std::vector<size_t> active_users;
       for (size_t r : pattern_users[p])
@@ -393,15 +329,13 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
       else
         ++stats.searches_skipped;
     }
-    if (options.joint_multi) {
-      for (size_t r = 0; r < rules.size(); ++r) {
-        if (!rules[r].is_multi() || !rule_active(r)) continue;
-        // The apply step stops after budget+1 combined matches (the +1 is
-        // what trips the scheduler's ban), so the search needn't return more.
-        ematch::MatchLimits limits;
-        limits.max_matches = scheduler.match_limit(r) + 1;
-        tasks.push_back(SearchTask{true, r, limits, {r}});
-      }
+    for (size_t r = 0; r < rules.size(); ++r) {
+      if (!rules[r].is_multi() || !rule_active(r)) continue;
+      // The apply step stops after budget+1 combined matches (the +1 is what
+      // trips the scheduler's ban), so the search needn't return more.
+      ematch::MatchLimits limits;
+      limits.max_matches = scheduler.match_limit(r) + 1;
+      tasks.push_back(SearchTask{true, r, limits, {r}});
     }
     // Same dispatch gate as ematch::search_all: a sweep too small to
     // amortize thread spawns runs on the calling thread (identical results
@@ -440,17 +374,17 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
       const double share = task_seconds[t] / static_cast<double>(charged.size());
       for (size_t r : charged) stats.rules[r].seconds += share;
     }
-    // Joint matches are credited to the multi_* stats in the apply loop, the
-    // same place the Cartesian baseline counts its tuples, so the two modes
-    // stay comparable even when node/time limits truncate the apply phase.
+    // Joint matches are credited to multi_matches_found in the collect loop,
+    // where the budget truncates them.
     for (const SearchTask& task : tasks)
       if (!task.joint) stats.matches_found += matches[task.index].size();
 
     // APPLY. The phase is a pipeline (mirroring egg's deferred-invariant
     // design): COLLECT enumerates the pending applications per rule, stage 1
     // evaluates every application read-only (fans out over apply_threads),
-    // stage 2 commits nodes and merges serially in plan order — the
-    // determinism anchor — and stage 3 is the single rebuild below.
+    // stage 2 commits the batch (serial resolve, sharded insert, serial
+    // merges in plan order — the determinism anchor), and stage 3 is the
+    // single rebuild below.
     //
     // COLLECT walks rules with multi-pattern rules first: they introduce the
     // merged operators the search is really after, and must not be starved
@@ -477,243 +411,102 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
       const Rewrite& rule = rules[r];
       if (!rule_active(r)) continue;
       const SecondsGuard rule_guard(stats.rules[r].seconds);
-      const auto& sources = plan.rule_sources[r];
       const size_t budget = scheduler.match_limit(r);
-      size_t applied_this_rule = 0;
-
-      // Joint plan: the search already produced the compatible combinations
-      // with shared variables bound once; just queue them.
-      if (options.joint_multi && rule.is_multi()) {
+      size_t matched = 0;
+      // Queues one match; false once the budget is blown (record_matches
+      // below then imposes the ban).
+      auto queue = [&](std::vector<Id> roots, Subst subst) {
+        ++matched;
+        ++stats.rules[r].matches;
+        if (matched > budget) return false;
+        ++stats.rules[r].planned;
+        apps.push_back(Application{&rule, r, std::move(roots), std::move(subst)});
+        return true;
+      };
+      if (rule.is_multi()) {
+        // The joint search already produced the compatible combinations,
+        // shared variables bound once.
         for (const ematch::JointMatch& jm : joint_matches[r]) {
-          // The joint search only ever examines compatible tuples, so the
-          // two counters advance together (the Cartesian baseline's combos
-          // additionally include the incompatible tuples it had to try).
-          ++stats.multi_combos_considered;
           ++stats.multi_matches_found;
-          ++stats.rules[r].matches;
-          ++applied_this_rule;
-          // Budget blown: stop here; record_matches below imposes the ban.
-          if (applied_this_rule > budget) break;
-          ++stats.rules[r].planned;
-          apps.push_back(Application{&rule, r, jm.roots, jm.subst});
+          if (!queue(jm.roots, jm.subst)) break;
         }
-        if (scheduler.record_matches(r, iter_base + static_cast<size_t>(iter), applied_this_rule))
-          ++stats.bans, ++stats.rules[r].bans;
-        continue;
-      }
-
-      // De-canonicalized match lists per source pattern (Algorithm 1 ln 12-15).
-      std::vector<std::vector<PatternMatch>> per_source;
-      per_source.reserve(sources.size());
-      bool any_empty = false;
-      for (const SourceBinding& sb : sources) {
-        std::vector<PatternMatch> list;
-        list.reserve(matches[sb.pattern_index].size());
+      } else {
+        // The rule's one source pattern, de-canonicalized back to the rule's
+        // variable names (Algorithm 1 lines 12-15).
+        const SourceBinding& sb = plan.rule_sources[r][0];
         for (const PatternMatch& m : matches[sb.pattern_index])
-          list.push_back(PatternMatch{m.root, decanonicalize(m.subst, sb.rename)});
-        if (list.empty()) any_empty = true;
-        per_source.push_back(std::move(list));
+          if (!queue({m.root}, decanonicalize(m.subst, sb.rename))) break;
       }
-      if (any_empty) continue;
-
-      // Cartesian product with the compatibility check (Algorithm 1 ln 16-20).
-      std::vector<size_t> idx(per_source.size(), 0);
-      for (;;) {
-        Application app;
-        app.rule = &rule;
-        app.rule_index = r;
-        if (rule.is_multi()) ++stats.multi_combos_considered;
-        std::optional<Subst> combined = Subst{};
-        for (size_t k = 0; k < per_source.size() && combined; ++k) {
-          const PatternMatch& m = per_source[k][idx[k]];
-          app.src_classes.push_back(m.root);
-          combined = Subst::merged(*combined, m.subst);
-        }
-        if (combined.has_value()) {  // COMPATIBLE
-          app.subst = std::move(*combined);
-          ++applied_this_rule;
-          ++stats.rules[r].matches;
-          if (rule.is_multi()) ++stats.multi_matches_found;
-          // Budget blown: stop here; record_matches below imposes the ban.
-          if (applied_this_rule > budget) break;
-          ++stats.rules[r].planned;
-          apps.push_back(std::move(app));
-        }
-        size_t k = 0;
-        while (k < idx.size()) {
-          if (++idx[k] < per_source[k].size()) break;
-          idx[k] = 0;
-          ++k;
-        }
-        if (k == idx.size()) break;
-      }
-      if (scheduler.record_matches(r, iter_base + static_cast<size_t>(iter), applied_this_rule))
+      if (scheduler.record_matches(r, iter_base + static_cast<size_t>(iter), matched))
         ++stats.bans, ++stats.rules[r].bans;
     }
     if (tracer != nullptr)
       tracer->record_span("explore/collect", collect_start_us, tracer->now_us());
 
+    // STAGE 1 (parallel, read-only): chunks of applications plan against
+    // the clean e-graph; workers share only the e-graph and the descendants
+    // map. Which worker plans which chunk is scheduling-dependent; the
+    // chunks and their plans are not.
+    const size_t num_chunks = (apps.size() + kPlanChunk - 1) / kPlanChunk;
+    std::vector<PlanChunk> chunks;
+    chunks.reserve(num_chunks);
+    for (size_t c = 0; c < num_chunks; ++c) chunks.emplace_back(eg);
+    std::vector<ApplyPlan> plans(apps.size());
+    // Rule conditions are arbitrary user callbacks, so planning itself can
+    // blow the time limit: every worker re-checks it per application and the
+    // abort flag stops the rest of the pool. Un-planned applications simply
+    // stay non-viable — stage 2 sees the blown limit immediately and stops
+    // the phase. (Node limits need no stage-1 check: planning never grows
+    // the e-graph.)
+    std::atomic<bool> plan_timed_out{false};
+    {
+      const trace::ScopedSpan plan_span("explore/plan");
+      parallel_for(num_chunks, options.apply_threads, [&](size_t c) {
+        // Per-chunk span on the worker's own lane: the per-thread view of
+        // stage-1 occupancy (arg = chunk index).
+        const trace::ScopedSpan chunk_span("apply/plan_chunk",
+                                           static_cast<int64_t>(c));
+        const size_t begin = c * kPlanChunk;
+        const size_t end = std::min(begin + kPlanChunk, apps.size());
+        for (size_t i = begin; i < end; ++i) {
+          if (plan_timed_out.load(std::memory_order_relaxed)) return;
+          if (timer.seconds() > options.explore_time_limit_s) {
+            plan_timed_out.store(true, std::memory_order_relaxed);
+            return;
+          }
+          plan_application(eg, apps[i], plans[i], chunks[c],
+                           options.cycle_filter, reach);
+        }
+      });
+    }
+
+    // STAGE 2: (a) a serial resolve in plan order assigns every fresh node a
+    // dense final id (a pure function of the plans — independent of all
+    // thread counts), (b) commit_prepared inserts the whole batch with a
+    // parallel sharded fill, (c) a serial merge pass in plan order performs
+    // the unions. Limits are enforced between applications during resolve:
+    // the node check counts the pending batch, and an application either
+    // resolves fully or not at all (per-app atomicity). Exceeding the time
+    // limit stops the whole apply phase (the stop reason is recorded after
+    // the rebuild below).
     bool hit_node_limit = false;
     bool hit_time_limit = false;
-    if (options.staged_apply) {
-      // STAGE 1 (parallel, read-only): chunks of applications plan against
-      // the clean e-graph; workers share only the e-graph and the
-      // descendants map. Which worker plans which chunk is scheduling-
-      // dependent; the chunks and their plans are not.
-      const size_t num_chunks = (apps.size() + kPlanChunk - 1) / kPlanChunk;
-      std::vector<PlanChunk> chunks;
-      chunks.reserve(num_chunks);
-      for (size_t c = 0; c < num_chunks; ++c) chunks.emplace_back(eg);
-      std::vector<ApplyPlan> plans(apps.size());
-      // Rule conditions are arbitrary user callbacks, so planning itself can
-      // blow the time limit: every worker re-checks it per application and
-      // the abort flag stops the rest of the pool. Un-planned applications
-      // simply stay non-viable — stage 2 sees the blown limit immediately
-      // and stops the phase, matching the direct path's per-application
-      // enforcement. (Node limits need no stage-1 check: planning never
-      // grows the e-graph.)
-      std::atomic<bool> plan_timed_out{false};
-      {
-        const trace::ScopedSpan plan_span("explore/plan");
-        parallel_for(num_chunks, options.apply_threads, [&](size_t c) {
-          // Per-chunk span on the worker's own lane: the per-thread view of
-          // stage-1 occupancy (arg = chunk index).
-          const trace::ScopedSpan chunk_span("apply/plan_chunk",
-                                             static_cast<int64_t>(c));
-          const size_t begin = c * kPlanChunk;
-          const size_t end = std::min(begin + kPlanChunk, apps.size());
-          for (size_t i = begin; i < end; ++i) {
-            if (plan_timed_out.load(std::memory_order_relaxed)) return;
-            if (timer.seconds() > options.explore_time_limit_s) {
-              plan_timed_out.store(true, std::memory_order_relaxed);
-              return;
-            }
-            plan_application(eg, apps[i], plans[i], chunks[c],
-                             options.cycle_filter, reach);
-          }
-        });
-      }
-
+    {
       const trace::ScopedSpan commit_span("explore/commit");
-      if (options.sharded_commit) {
-        // STAGE 2, batch mode: (a) serial resolve in plan order assigns
-        // every fresh node a dense final id (pure function of the plans —
-        // independent of all thread counts), (b) commit_prepared inserts
-        // the whole batch with a parallel sharded fill, (c) a serial merge
-        // pass in plan order performs the unions. Limits are enforced
-        // between applications during resolve: the node check projects the
-        // pending batch so batch mode stops at the same effective size the
-        // serial path would, and an application either resolves fully or
-        // not at all (per-app atomicity).
-        BatchCommit bc;
-        bc.base = static_cast<Id>(eg.num_ids());
-        std::vector<std::vector<Id>> memos(chunks.size());
-        for (size_t c = 0; c < chunks.size(); ++c)
-          memos[c].assign(chunks[c].buf.size(), kInvalidId);
-        struct ResolvedApp {
-          uint32_t app_index;
-          uint32_t targets_first;
-          uint32_t targets_count;
-        };
-        std::vector<ResolvedApp> resolved;
-        std::vector<Id> final_targets;
-        for (size_t i = 0; i < apps.size(); ++i) {
-          if (eg.num_enodes_total() + bc.prepared.size() >=
-              options.node_limit) {
-            hit_node_limit = true;
-            break;
-          }
-          if (timer.seconds() > options.explore_time_limit_s) {
-            hit_time_limit = true;
-            break;
-          }
-          if (!plans[i].viable) continue;
-          RuleTelemetry& rt = stats.rules[apps[i].rule_index];
-          const SecondsGuard resolve_guard(rt.seconds);
-          const PlanChunk& chunk = chunks[i / kPlanChunk];
-          std::vector<Id>& memo = memos[i / kPlanChunk];
-          size_t fresh = 0;
-          const uint32_t first = static_cast<uint32_t>(final_targets.size());
-          for (uint32_t k = 0; k < plans[i].targets_count; ++k) {
-            final_targets.push_back(
-                resolve_staged(chunk, memo,
-                               chunk.targets[plans[i].targets_first + k], bc,
-                               fresh));
-          }
-          rt.nodes_added += fresh;
-          resolved.push_back(ResolvedApp{static_cast<uint32_t>(i), first,
-                                         plans[i].targets_count});
-        }
-        const Id commit_base = eg.commit_prepared(bc.prepared,
-                                                  options.apply_threads);
-        TENSAT_CHECK(commit_base == bc.base,
-                     "sharded commit base drifted: " << commit_base
-                                                     << " != " << bc.base);
-        // Serial merge pass — the determinism anchor. Soundness is
-        // re-verified on the live analysis data exactly as
-        // commit_application does: merges earlier in the batch can have
-        // joined analysis values since the plan compared the snapshot.
-        for (const ResolvedApp& ra : resolved) {
-          const Application& app = apps[ra.app_index];
-          RuleTelemetry& rt = stats.rules[app.rule_index];
-          const SecondsGuard merge_guard(rt.seconds);
-          bool sound = true;
-          for (uint32_t k = 0; k < ra.targets_count && sound; ++k) {
-            sound = merge_sound(eg.data(app.src_classes[k]),
-                                eg.data(final_targets[ra.targets_first + k]));
-          }
-          if (!sound) continue;
-          bool changed = false;
-          for (uint32_t k = 0; k < ra.targets_count; ++k) {
-            const Id src = eg.find(app.src_classes[k]);
-            const Id dst = eg.find(final_targets[ra.targets_first + k]);
-            if (src == dst) continue;
-            if (options.cycle_filter == CycleFilterMode::kVanilla &&
-                merge_would_create_cycle(eg, src, dst)) {
-              continue;
-            }
-            changed |= eg.merge(src, dst);
-          }
-          if (changed) {
-            ++stats.applications;
-            ++rt.committed;
-          }
-        }
-      } else {
-        // STAGE 2, serial mode: commit one application at a time in plan
-        // order, interleaving inserts and merges exactly like the direct
-        // path. Node and time limits are enforced between applications;
-        // exceeding the time limit stops the whole apply phase (the stop
-        // reason is recorded after the rebuild below).
-        std::vector<Id> committed;
-        for (size_t i = 0; i < apps.size(); ++i) {
-          if (eg.num_enodes_total() >= options.node_limit) {
-            hit_node_limit = true;
-            break;
-          }
-          if (timer.seconds() > options.explore_time_limit_s) {
-            hit_time_limit = true;
-            break;
-          }
-          if (!plans[i].viable) continue;
-          RuleTelemetry& rt = stats.rules[apps[i].rule_index];
-          const SecondsGuard commit_guard(rt.seconds);
-          const size_t nodes_before = eg.num_enodes_total();
-          if (commit_application(eg, apps[i], plans[i], chunks[i / kPlanChunk],
-                                 options.cycle_filter, committed)) {
-            ++stats.applications;
-            ++rt.committed;
-          }
-          rt.nodes_added += eg.num_enodes_total() - nodes_before;
-        }
-      }
-    } else {
-      // Legacy direct path: condition checks, pre-filters, and instantiation
-      // run against the live (mid-mutation) e-graph, one application at a
-      // time, in the same plan order the staged pipeline commits in.
-      const trace::ScopedSpan commit_span("explore/commit");
-      for (const Application& app : apps) {
-        if (eg.num_enodes_total() >= options.node_limit) {
+      BatchCommit bc;
+      bc.base = static_cast<Id>(eg.num_ids());
+      std::vector<std::vector<Id>> memos(chunks.size());
+      for (size_t c = 0; c < chunks.size(); ++c)
+        memos[c].assign(chunks[c].buf.size(), kInvalidId);
+      struct ResolvedApp {
+        uint32_t app_index;
+        uint32_t targets_first;
+        uint32_t targets_count;
+      };
+      std::vector<ResolvedApp> resolved;
+      std::vector<Id> final_targets;
+      for (size_t i = 0; i < apps.size(); ++i) {
+        if (eg.num_enodes_total() + bc.prepared.size() >= options.node_limit) {
           hit_node_limit = true;
           break;
         }
@@ -721,14 +514,55 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
           hit_time_limit = true;
           break;
         }
+        if (!plans[i].viable) continue;
+        RuleTelemetry& rt = stats.rules[apps[i].rule_index];
+        const SecondsGuard resolve_guard(rt.seconds);
+        const PlanChunk& chunk = chunks[i / kPlanChunk];
+        std::vector<Id>& memo = memos[i / kPlanChunk];
+        size_t fresh = 0;
+        const uint32_t first = static_cast<uint32_t>(final_targets.size());
+        for (uint32_t k = 0; k < plans[i].targets_count; ++k) {
+          final_targets.push_back(resolve_staged(
+              chunk, memo, chunk.targets[plans[i].targets_first + k], bc, fresh));
+        }
+        rt.nodes_added += fresh;
+        resolved.push_back(
+            ResolvedApp{static_cast<uint32_t>(i), first, plans[i].targets_count});
+      }
+      const Id commit_base = eg.commit_prepared(bc.prepared, options.apply_threads);
+      TENSAT_CHECK(commit_base == bc.base,
+                   "sharded commit base drifted: " << commit_base << " != " << bc.base);
+      // Serial merge pass — the determinism anchor. Soundness is re-verified
+      // on the live analysis data: merges earlier in the batch can have joined
+      // analysis values since the plan compared the snapshot.
+      for (const ResolvedApp& ra : resolved) {
+        const Application& app = apps[ra.app_index];
         RuleTelemetry& rt = stats.rules[app.rule_index];
-        const SecondsGuard apply_guard(rt.seconds);
-        const size_t nodes_before = eg.num_enodes_total();
-        if (apply_one(eg, app, options.cycle_filter, reach)) {
+        const SecondsGuard merge_guard(rt.seconds);
+        bool sound = true;
+        for (uint32_t k = 0; k < ra.targets_count && sound; ++k) {
+          sound = merge_sound(eg.data(app.src_classes[k]),
+                              eg.data(final_targets[ra.targets_first + k]));
+        }
+        if (!sound) continue;
+        bool changed = false;
+        for (uint32_t k = 0; k < ra.targets_count; ++k) {
+          const Id src = eg.find(app.src_classes[k]);
+          const Id dst = eg.find(final_targets[ra.targets_first + k]);
+          if (src == dst) continue;
+          // Vanilla filtering (paper §5.2): discard a merge that would close a
+          // cycle. The target nodes stay in the e-graph unmerged, which is
+          // harmless.
+          if (options.cycle_filter == CycleFilterMode::kVanilla &&
+              merge_would_create_cycle(eg, src, dst)) {
+            continue;
+          }
+          changed |= eg.merge(src, dst);
+        }
+        if (changed) {
           ++stats.applications;
           ++rt.committed;
         }
-        rt.nodes_added += eg.num_enodes_total() - nodes_before;
       }
     }
     stats.apply_seconds += apply_timer.seconds();

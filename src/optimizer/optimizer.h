@@ -45,48 +45,33 @@ struct TensatOptions {
   /// bans only kick in on genuinely match-explosive rules, and banned rules
   /// always get a final chance before saturation is declared.
   ematch::BackoffOptions backoff{/*match_limit=*/100000, /*ban_length=*/5};
-  /// Multi-pattern rules: search all of a rule's sources as one joint VM
-  /// program (shared variables bind once; incompatible cross-pattern
-  /// candidates are pruned during the search) instead of joining the
-  /// per-source match sets with a post-hoc Cartesian product. Enumerates the
-  /// identical combined match set (tests/joint_ematch_test.cpp), though in a
-  /// different order — under a node/time limit the two modes may therefore
-  /// truncate at different applications. False selects the Cartesian
-  /// baseline kept for differential tests and the ematch_report benchmark.
-  bool joint_multi = true;
   /// Worker threads for the per-iteration pattern searches (the VM is
   /// read-only over the clean e-graph). 0 = one per hardware thread. Any
   /// value yields identical results: each pattern's search is sequential
   /// and results merge in plan order, so threading never reorders anything.
   size_t search_threads = 1;
-  /// Worker threads for stage 1 of the staged apply pipeline: per-pending-
-  /// application condition checks, cycle pre-filters, and target planning,
-  /// all read-only against the clean e-graph. 0 (default) = one per hardware
-  /// thread. Any value yields a bit-identical e-graph: plans are independent
-  /// and partitioned into index-based chunks, and the stage-2 commit replays
-  /// them serially in plan order, which fixes the node insertion and merge
-  /// order regardless of worker scheduling. Iterations with fewer pending
-  /// applications than one chunk never spawn workers at all.
+  /// Worker threads for the apply pipeline's two parallel steps: stage-1
+  /// planning (per-pending-application condition checks, cycle pre-filters,
+  /// and target planning, all read-only against the clean e-graph) and the
+  /// sharded insert of stage 2 (EGraph::commit_prepared). 0 (default) = one
+  /// per hardware thread. Any value yields a bit-identical e-graph: plans are
+  /// independent and partitioned into index-based chunks; stage 2's serial
+  /// resolve fixes every new node's id and stamp in plan order, the sharded
+  /// insert appends to each container in that order, and the serial merge
+  /// pass unions in plan order, regardless of worker scheduling. Stage 1
+  /// spawns no workers in iterations with fewer pending applications than
+  /// one chunk.
+  ///
+  /// Every iteration's apply phase runs the same steps: collect the
+  /// applications per rule (multi-pattern rules through their joint search),
+  /// plan them in parallel, commit the batch (serial resolve, sharded
+  /// insert, serial merges), then rebuild once. An instantiation is
+  /// all-or-nothing: one that fails its shape check during planning leaves
+  /// no partial nodes in the e-graph. (A merge can still be dropped at
+  /// commit time if earlier merges in the batch coarsened the analysis data
+  /// it was planned against; its nodes then stay unmerged, which is
+  /// harmless.)
   size_t apply_threads = 0;
-  /// True (default) routes the apply phase through the three-stage pipeline
-  /// (parallel plan, serial batched commit, single rebuild). False keeps the
-  /// legacy direct path — condition check, cycle pre-filter, and instantiate
-  /// interleaved with merges per application — as the differential baseline
-  /// (tests/apply_pipeline_test.cpp, bench_ematch_report's apply section).
-  /// The two paths agree on iterations, stop reason, filtered nodes, and
-  /// extraction; they differ in two benign ways. An instantiation that fails
-  /// its shape check during planning (stage 1) leaves no partial nodes — the
-  /// plan is dropped whole, where the direct path adds bottom-up and strands
-  /// whatever preceded the failing node — so the staged e-graph is in
-  /// practice never larger, and the direct path's stranded junk is
-  /// matchable, which lets its application count drift upward over
-  /// iterations. (A shape check can also fail at commit time, after
-  /// intervening merges coarsened an analysis value; that rare case strands
-  /// the target's already-committed descendants just like the direct path.)
-  /// And plans observe the iteration-start snapshot where the direct path
-  /// observes earlier in-iteration merges — relevant only to analysis joins
-  /// mid-iteration.
-  bool staged_apply = true;
   /// True (default) maintains the efficient cycle filter's descendants map
   /// and cycle sweep incrementally across iterations (cycles/incremental.h):
   /// the e-graph journals adds/merges/filterings, the map repairs only the
@@ -103,29 +88,6 @@ struct TensatOptions {
   /// serial boundary, so any apply_threads/search_threads value still yields
   /// a bit-identical e-graph.
   bool incremental_cycles = true;
-  /// True (default) replaces stage 2's per-application hash-cons replay
-  /// with the sharded batch commit: a serial *resolve* pass walks the
-  /// viable plans in plan order, maps every staged node to a pre-assigned
-  /// fresh e-class id (deduplicating across plan chunks), and enforces the
-  /// node/time limits between applications; EGraph::commit_prepared then
-  /// fills the op-sharded hash-cons, op-index, and parent lists with
-  /// apply_threads pool workers; finally a serial *merge* pass re-checks
-  /// merge soundness on live data and merges in plan order — the
-  /// determinism anchor. Because ids, stamps, and every per-container
-  /// append order are fixed by the serial passes, the e-graph is
-  /// bit-identical for any apply_threads value (tests/apply_pipeline_test
-  /// pins 1/2/8 threads across the full toggle matrix).
-  ///
-  /// This is a distinct commit *mode*, not a bit-for-bit replay of the
-  /// serial stage 2: the serial path interleaves merges between
-  /// applications, so a later application's commit can collapse onto a
-  /// class an earlier merge canonicalized, where the batch path inserts
-  /// the plan-time form and lets rebuild()'s congruence pass collapse it.
-  /// The two modes agree semantically (same iterations/stop/extraction on
-  /// the differential suite) and each is deterministic; false keeps the
-  /// serial per-application commit as the differential baseline. Only
-  /// meaningful with staged_apply.
-  bool sharded_commit = true;
 };
 
 /// Cumulative per-rule telemetry across all exploration iterations, indexed
@@ -134,8 +96,8 @@ struct TensatOptions {
 /// handful of increments per rule per iteration); this is the table
 /// tensat_profile prints and the reward signal a cost-aware scheduler
 /// (ROADMAP item 3) consumes. Everything except `seconds` is deterministic —
-/// identical for any search/apply thread count on the deterministic paths
-/// (pinned by tests/trace_test.cpp).
+/// identical for any search/apply thread count (pinned by
+/// tests/trace_test.cpp).
 struct RuleTelemetry {
   std::string name;
   /// Match tuples enumerated for the rule (compatible combinations for
@@ -160,7 +122,7 @@ struct RuleTelemetry {
 /// One exploration iteration's e-graph growth sample, recorded after the
 /// iteration's rebuild and cycle sweep — the timeline that shows where a
 /// saturation run blows up. All fields except `seconds` are deterministic
-/// across thread counts on the deterministic paths.
+/// across thread counts.
 struct IterationTelemetry {
   size_t eclasses{0};
   size_t enodes{0};        // excluding filtered
@@ -181,14 +143,9 @@ struct ExploreStats {
   size_t matches_found{0};
   size_t applications{0};
   /// Combined (full-rule) multi-pattern matches enumerated across all
-  /// iterations — the compatible tuples handed to the apply step.
+  /// iterations — the compatible tuples the joint searches handed to the
+  /// apply step (truncated at budget+1 per rule, like RuleTelemetry).
   size_t multi_matches_found{0};
-  /// Candidate source-match tuples the multi-pattern join examined. Under
-  /// the Cartesian baseline this is the full product of the per-source match
-  /// sets; under the joint plan incompatible prefixes are pruned inside the
-  /// VM, so it equals multi_matches_found. The gap measures the blow-up the
-  /// joint plan avoids.
-  size_t multi_combos_considered{0};
   /// Rule bans imposed by the backoff scheduler across all iterations.
   size_t bans{0};
   /// Pattern searches skipped because every rule using the pattern was
@@ -199,7 +156,7 @@ struct ExploreStats {
   /// iterations, so regressions can be pinned to the dominant phase
   /// (BENCH_ematch.json records the apply and cycles shares). search = the
   /// parallel pattern/joint searches; apply = match enumeration + the
-  /// plan/commit pipeline (or the legacy direct loop); rebuild = congruence
+  /// plan/commit pipeline; rebuild = congruence
   /// repair; dmap = descendants-map construction (fresh mode) or epoch
   /// advances (incremental mode); cycle_sweep = the post-rebuild cycle
   /// filtering pass. dmap/cycle_sweep used to be folded into apply/rebuild;

@@ -60,18 +60,19 @@ std::vector<Subst> match_class_naive(const EGraph& eg, const Graph& pat,
 /// Returns the resulting e-class, or nullopt if any new node fails the shape
 /// check (the paper's shape-checking gate on rewrites).
 ///
-/// This is the legacy direct path: it mutates the e-graph node by node. The
-/// staged apply pipeline uses the plan/commit split below instead; the two
-/// produce identical e-graphs (tests/apply_pipeline_test.cpp).
+/// The direct reference path: it mutates the e-graph node by node, so a
+/// shape failure part-way leaves the nodes added before it behind.
+/// Exploration uses the all-or-nothing plan/commit split below instead; the
+/// tests hold the two to identical e-graphs (tests/apply_pipeline_test.cpp).
 std::optional<Id> instantiate(EGraph& eg, const Graph& pat, Id root, const Subst& subst);
 
 /// The plan half of instantiate(): shape-checks and hash-conses the target
 /// nodes into `buf` against buf.egraph() (which must be clean) WITHOUT
 /// mutating the e-graph. Returns the target id — a real e-class id when the
 /// whole target already exists, otherwise a staged id (NodeBuffer::is_staged)
-/// — or nullopt on shape-check failure. Committing the returned id
-/// (NodeBuffer::commit) yields exactly what the direct instantiate() would
-/// have produced.
+/// — or nullopt on shape-check failure. Committing the staged nodes (the
+/// optimizer's batch commit) yields exactly what the direct instantiate()
+/// would have produced.
 std::optional<Id> plan_instantiate(NodeBuffer& buf, const Graph& pat, Id root,
                                    const Subst& subst);
 

@@ -4,19 +4,18 @@
 // multi-pattern rule by renaming its variables in traversal order; patterns
 // that differ only by variable names collapse to one canonical pattern. Each
 // exploration iteration then runs the single-pattern search once per
-// canonical pattern. For a multi-pattern rule the per-source match sets are
-// combined into full-rule matches in one of two equivalent ways:
+// canonical pattern that a single-pattern rule uses. A multi-pattern rule
+// finds its full-rule matches through the joint plan: its sources compile
+// into a single VM program (ematch::compile_joint_pattern) that binds shared
+// variables once and prunes incompatible cross-pattern candidates during the
+// search, so the canonical-pattern search for multi-only patterns is skipped
+// entirely.
 //
-//  - the joint plan (default): the rule's sources compile into a single VM
-//    program (ematch::compile_joint_pattern) that binds shared variables
-//    once and prunes incompatible cross-pattern candidates during the
-//    search, skipping the canonical-pattern search for multi-only patterns
-//    entirely;
-//  - the Cartesian-product join (cartesian_join below, paper Algorithm 1
-//    lines 16-20): combine the de-canonicalized matches of the rule's
-//    source patterns post hoc, keeping combinations that agree on shared
-//    variables. Kept as the differential baseline the joint plan is tested
-//    and benchmarked against (TensatOptions::joint_multi = false).
+// The paper's own join, the Cartesian product of Algorithm 1 lines 16-20,
+// survives only as cartesian_join below: a test and benchmark oracle that
+// combines the de-canonicalized per-source matches post hoc, keeping the
+// combinations that agree on shared variables. Exploration never calls it
+// (tests/joint_ematch_test.cpp, bench_ematch_report's join section).
 #pragma once
 
 #include <string>

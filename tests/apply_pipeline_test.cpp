@@ -1,21 +1,16 @@
-// The staged apply pipeline (optimizer/optimizer.cpp): stage 1 plans every
-// pending application read-only against the clean e-graph, stage 2 commits
-// staged nodes and merges in plan order — either serially one application
-// at a time (sharded_commit = false) or via the batch path (serial resolve,
-// parallel sharded insert, serial merge) — and stage 3 is the single
-// rebuild. These tests pin its two contracts:
+// The apply pipeline (optimizer/optimizer.cpp): stage 1 plans every pending
+// application read-only against the clean e-graph, stage 2 commits the batch
+// (serial resolve, parallel sharded insert, serial merges in plan order),
+// and stage 3 is the single rebuild. These tests pin its two contracts:
 //
 //  * determinism: the explored e-graph is bit-identical (same class ids,
-//    same e-node sets, same filtered flags, same extracted graph) for any
-//    apply_threads value, because stage 2's serial plan-order commit is the
-//    only place mutation happens;
-//  * parity: the plan/commit split of instantiate (plan_instantiate +
-//    NodeBuffer::commit) produces exactly the e-graph the legacy direct
-//    instantiate() does, and the staged pipeline as a whole matches the
-//    legacy direct apply path (TensatOptions::staged_apply = false)
-//    semantically — same applications, merges, filtered nodes, and
-//    extraction; the only divergence is that failed instantiations leave no
-//    partial nodes behind under the all-or-nothing commit.
+//    same e-node sets and stamps, same filtered flags, same extracted graph)
+//    for any apply_threads value, in every cycle-filter mode, because the
+//    serial resolve and merge passes fix every ordered artifact;
+//  * parity: the plan/commit split of instantiate (plan_instantiate + the
+//    batch commit) produces exactly the e-graph the direct reference
+//    instantiate() + merge + rebuild does, and planning never mutates the
+//    e-graph — a shape failure leaves no partial nodes behind.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -79,20 +74,21 @@ TensatOptions explore_options() {
 // ---- Determinism across apply_threads --------------------------------------
 
 TEST(ApplyPipeline, FingerprintIdenticalForAnyThreadCount) {
-  // Both commit modes must be bit-identical across thread counts: the
-  // sharded batch commit's only scheduling-dependent stage is the
-  // commit_prepared parallel fill, whose every container receives entries
-  // in ascending batch order regardless of which worker fills which shard.
-  for (bool sharded : {true, false}) {
+  // The commit's only scheduling-dependent step is commit_prepared's
+  // parallel fill, whose every container receives entries in ascending
+  // batch order regardless of which worker fills which shard. Vanilla
+  // filtering adds a live cycle check to the serial merge pass.
+  for (CycleFilterMode mode :
+       {CycleFilterMode::kEfficient, CycleFilterMode::kVanilla}) {
     for (const ModelInfo& m : seed_examples()) {
       TensatOptions opt = explore_options();
-      opt.sharded_commit = sharded;
+      opt.cycle_filter = mode;
       opt.apply_threads = 1;
       const std::string baseline = explore_and_fingerprint(m.graph, opt);
       for (size_t threads : {2u, 8u}) {
         opt.apply_threads = threads;
         EXPECT_EQ(baseline, explore_and_fingerprint(m.graph, opt))
-            << m.name << " sharded=" << sharded
+            << m.name << " mode=" << static_cast<int>(mode)
             << " apply_threads=" << threads;
       }
     }
@@ -104,24 +100,19 @@ TEST(ApplyPipeline, IncrementalCyclesDeterministicAcrossThreadCounts) {
   // rebuild boundary, so its map — and with it the pre-filter's answers and
   // the filtered node set — must be a pure function of the e-graph state,
   // never of worker count or scheduling: bit-identical e-graphs for any
-  // apply_threads/search_threads combination, in both cycle modes, with the
-  // sharded commit on or off (the full toggle matrix).
-  for (bool sharded : {true, false}) {
-    for (bool incremental : {true, false}) {
-      for (const ModelInfo& m : seed_examples()) {
-        TensatOptions opt = explore_options();
-        opt.sharded_commit = sharded;
-        opt.incremental_cycles = incremental;
-        opt.search_threads = 1;
-        opt.apply_threads = 1;
-        const std::string baseline = explore_and_fingerprint(m.graph, opt);
-        for (size_t threads : {2u, 8u}) {
-          opt.search_threads = threads;
-          opt.apply_threads = threads;
-          EXPECT_EQ(baseline, explore_and_fingerprint(m.graph, opt))
-              << m.name << " sharded=" << sharded
-              << " incremental=" << incremental << " threads=" << threads;
-        }
+  // apply_threads/search_threads combination, in both cycle modes.
+  for (bool incremental : {true, false}) {
+    for (const ModelInfo& m : seed_examples()) {
+      TensatOptions opt = explore_options();
+      opt.incremental_cycles = incremental;
+      opt.search_threads = 1;
+      opt.apply_threads = 1;
+      const std::string baseline = explore_and_fingerprint(m.graph, opt);
+      for (size_t threads : {2u, 8u}) {
+        opt.search_threads = threads;
+        opt.apply_threads = threads;
+        EXPECT_EQ(baseline, explore_and_fingerprint(m.graph, opt))
+            << m.name << " incremental=" << incremental << " threads=" << threads;
       }
     }
   }
@@ -138,120 +129,13 @@ TEST(ApplyPipeline, SearchAndApplyThreadsCompose) {
   }
 }
 
-// ---- Staged pipeline vs legacy direct path ---------------------------------
-
-TEST(ApplyPipeline, StagedMatchesLegacyDirectPath) {
-  // The two paths are differential baselines of each other. They agree on
-  // everything semantically visible — applications, merges, filtered nodes,
-  // extraction — but not byte-for-byte: the direct path's instantiate adds
-  // nodes bottom-up and leaves partial junk behind when a later node fails
-  // its shape check or the src/target data compare, while a non-viable plan
-  // commits nothing. Staged is therefore never larger than legacy on these
-  // workloads (commit-time shape failures, which can also strand nodes on
-  // the staged path, do not occur here — no mid-iteration analysis joins).
-  //
-  // Pinned to sharded_commit = false: the size comparisons below hold only
-  // for the serial commit, whose interleaved insert/merge collapses
-  // would-be duplicates through the live hash-cons before inserting. Batch
-  // mode resolves against the clean snapshot, so duplicates that a merge
-  // earlier in the same batch would have collapsed land as separate nodes
-  // and fall to the rebuild — a distinct valid mode, covered by
-  // ShardedCommitMatchesSerialCommitSemantically below.
-  for (CycleFilterMode mode :
-       {CycleFilterMode::kEfficient, CycleFilterMode::kVanilla}) {
-    for (const ModelInfo& m : seed_examples()) {
-      TensatOptions opt = explore_options();
-      opt.sharded_commit = false;
-      opt.cycle_filter = mode;
-
-      opt.staged_apply = false;
-      EGraph legacy = seed_egraph(m.graph);
-      const ExploreStats legacy_stats = run_exploration(legacy, default_rules(), opt);
-      opt.staged_apply = true;
-      EGraph staged = seed_egraph(m.graph);
-      const ExploreStats staged_stats = run_exploration(staged, default_rules(), opt);
-
-      // applications is NOT compared: the direct path's stranded partial
-      // nodes are matchable in later iterations, so its application count
-      // drifts upward relative to staged on multi-iteration runs.
-      EXPECT_GT(staged_stats.applications, 0u) << m.name;
-      EXPECT_EQ(legacy_stats.iterations, staged_stats.iterations) << m.name;
-      EXPECT_EQ(legacy_stats.stop, staged_stats.stop) << m.name;
-      EXPECT_EQ(legacy.num_filtered(), staged.num_filtered()) << m.name;
-      EXPECT_EQ(legacy.num_classes() >= staged.num_classes(), true) << m.name;
-      EXPECT_GE(legacy.num_enodes_total(), staged.num_enodes_total()) << m.name;
-
-      const T4CostModel model;
-      const ExtractionResult lx = extract_greedy(legacy, model);
-      const ExtractionResult sx = extract_greedy(staged, model);
-      ASSERT_EQ(lx.ok, sx.ok) << m.name;
-      if (lx.ok) {
-        EXPECT_DOUBLE_EQ(lx.cost, sx.cost) << m.name;
-        EXPECT_EQ(lx.graph.to_sexpr(lx.graph.roots()[0]),
-                  sx.graph.to_sexpr(sx.graph.roots()[0]))
-            << m.name << " mode=" << static_cast<int>(mode);
-      }
-    }
-  }
-}
-
-// ---- Sharded batch commit vs serial commit ---------------------------------
-
-TEST(ApplyPipeline, ShardedCommitMatchesSerialCommitSemantically) {
-  // Batch mode inserts the whole iteration's fresh nodes before any merge,
-  // so nodes the serial commit would have collapsed through the live
-  // hash-cons instead collapse at the rebuild. The two modes are therefore
-  // not bit-replays of each other — the e-graphs can hold different (but
-  // equivalent) node sets, and greedy extraction may break cost ties toward
-  // different representatives. What must agree is the semantics: the run
-  // stops for the same reason, extraction succeeds on both, and the
-  // extracted graphs cost exactly the same.
-  for (bool incremental : {true, false}) {
-    for (const ModelInfo& m : seed_examples()) {
-      TensatOptions opt = explore_options();
-      opt.incremental_cycles = incremental;
-
-      opt.sharded_commit = false;
-      EGraph serial = seed_egraph(m.graph);
-      const ExploreStats serial_stats =
-          run_exploration(serial, default_rules(), opt);
-      opt.sharded_commit = true;
-      EGraph sharded = seed_egraph(m.graph);
-      const ExploreStats sharded_stats =
-          run_exploration(sharded, default_rules(), opt);
-
-      EXPECT_GT(sharded_stats.applications, 0u) << m.name;
-      EXPECT_EQ(serial_stats.stop, sharded_stats.stop)
-          << m.name << " incremental=" << incremental;
-
-      const T4CostModel model;
-      const ExtractionResult sx = extract_greedy(serial, model);
-      const ExtractionResult bx = extract_greedy(sharded, model);
-      ASSERT_EQ(sx.ok, bx.ok) << m.name;
-      if (sx.ok) {
-        EXPECT_DOUBLE_EQ(sx.cost, bx.cost)
-            << m.name << " incremental=" << incremental;
-      }
-    }
-  }
-}
-
-TEST(ApplyPipeline, ShardedToggleIsNoOpOnLegacyDirectPath) {
-  // sharded_commit only routes the staged pipeline's stage 2; with
-  // staged_apply off it must change nothing, bit-for-bit.
-  for (const ModelInfo& m : seed_examples()) {
-    TensatOptions opt = explore_options();
-    opt.staged_apply = false;
-    opt.sharded_commit = false;
-    const std::string baseline = explore_and_fingerprint(m.graph, opt);
-    opt.sharded_commit = true;
-    EXPECT_EQ(baseline, explore_and_fingerprint(m.graph, opt)) << m.name;
-  }
-}
-
 // ---- plan/commit parity with direct instantiate ----------------------------
 
 TEST(ApplyPipeline, PlanCommitParityWithDirectInstantiate) {
+  // The production commit (plan_instantiate + the batch commit inside
+  // run_exploration) must build exactly the e-graph the direct reference
+  // builds: instantiate() the target, merge it into the matched class,
+  // rebuild.
   const Rewrite rule =
       make_rewrite("t", "(ewadd ?x ?y)", "(relu (ewadd ?y ?x))");
   Graph g;
@@ -260,43 +144,42 @@ TEST(ApplyPipeline, PlanCommitParityWithDirectInstantiate) {
   g.add_root(g.ewadd(a, b));
 
   EGraph direct = seed_egraph(g);
-  EGraph staged = seed_egraph(g);
-  ASSERT_EQ(fingerprint(direct), fingerprint(staged));
-
-  Subst subst;
-  // Bind against the seeded input classes (same ids in both copies).
   const auto matches = search_pattern(direct, rule.pat, rule.src_roots[0]);
   ASSERT_EQ(matches.size(), 1u);
-  subst = matches[0].subst;
+  const Subst& subst = matches[0].subst;
 
-  const auto direct_id = instantiate(direct, rule.pat, rule.dst_roots[0], subst);
-  ASSERT_TRUE(direct_id.has_value());
-
-  NodeBuffer buf(staged);
-  const uint64_t version_before = staged.version();
+  NodeBuffer buf(direct);
+  const uint64_t version_before = direct.version();
   const auto planned = plan_instantiate(buf, rule.pat, rule.dst_roots[0], subst);
   ASSERT_TRUE(planned.has_value());
   EXPECT_TRUE(NodeBuffer::is_staged(*planned));  // relu+ewadd are new nodes
   EXPECT_EQ(buf.size(), 2u);
   // Planning is read-only: nothing changed yet.
-  EXPECT_EQ(staged.version(), version_before);
-  EXPECT_EQ(fingerprint(seed_egraph(g)), fingerprint(staged));
-  // The planned analysis data matches what the committed class will carry.
-  EXPECT_EQ(to_string(buf.data(*planned)), to_string(direct.data(*direct_id)));
+  EXPECT_EQ(direct.version(), version_before);
+  EXPECT_EQ(fingerprint(seed_egraph(g)), fingerprint(direct));
+  const std::string planned_data = to_string(buf.data(*planned));
 
-  const auto committed = buf.commit(staged, *planned);
-  ASSERT_TRUE(committed.has_value());
-  EXPECT_EQ(*committed, *direct_id);
-  EXPECT_EQ(fingerprint(direct), fingerprint(staged));
+  const auto direct_id = instantiate(direct, rule.pat, rule.dst_roots[0], subst);
+  ASSERT_TRUE(direct_id.has_value());
+  // The planned analysis data matches what the committed class carries.
+  EXPECT_EQ(planned_data, to_string(direct.data(*direct_id)));
+  ASSERT_TRUE(direct.merge(matches[0].root, *direct_id));
+  direct.rebuild();
 
-  // Re-committing is idempotent (memoized), and re-planning the same target
-  // now resolves to the existing class without staging anything.
-  EXPECT_EQ(buf.commit(staged, *planned), committed);
-  NodeBuffer buf2(staged);
+  EGraph explored = seed_egraph(g);
+  TensatOptions opt;
+  opt.k_max = 1;
+  const ExploreStats stats = run_exploration(explored, {rule}, opt);
+  EXPECT_EQ(stats.applications, 1u);
+  EXPECT_EQ(fingerprint(direct), fingerprint(explored));
+
+  // Re-planning the same target on the explored e-graph resolves to the
+  // existing class without staging anything.
+  NodeBuffer buf2(explored);
   const auto replanned = plan_instantiate(buf2, rule.pat, rule.dst_roots[0], subst);
   ASSERT_TRUE(replanned.has_value());
   EXPECT_FALSE(NodeBuffer::is_staged(*replanned));
-  EXPECT_EQ(*replanned, *committed);
+  EXPECT_EQ(*replanned, explored.find(matches[0].root));
   EXPECT_EQ(buf2.size(), 0u);
 }
 

@@ -371,21 +371,6 @@ TEST(TraceDeterminism, ExtractionDigestIdenticalAcrossCoreThreads) {
   EXPECT_NE(d1.find("total milp/bb_nodes"), std::string::npos);
 }
 
-TEST(TraceDeterminism, LegacyDirectPathAlsoDeterministic) {
-  // The legacy apply path shares the per-rule counters; its telemetry must
-  // be self-consistent run to run as well (single-threaded by design).
-  const auto run_legacy = [] {
-    EGraph eg = seed_egraph(make_bert(1, 8, 32));
-    TensatOptions opt;
-    opt.k_max = 3;
-    opt.staged_apply = false;
-    opt.node_limit = 2000;
-    const ExploreStats stats = run_exploration(eg, default_rules(), opt);
-    return rules_key(stats.rules) + growth_key(stats.growth);
-  };
-  EXPECT_EQ(run_legacy(), run_legacy());
-}
-
 TEST(RuleTelemetry, CountsAreInternallyConsistent) {
   EGraph eg = seed_egraph(make_bert(1, 8, 32));
   TensatOptions opt;
