@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <queue>
 
 #include "support/check.h"
 #include "support/timer.h"
@@ -38,14 +39,20 @@ std::vector<Id> reachable_classes(const EGraph& eg, Id root) {
 }
 
 /// The greedy per-class choice: cheapest best-subtree e-node per class
-/// (fixpoint; sharing ignored). Classes with no finite option are absent.
+/// (sharing ignored). Classes with no finite option are absent.
 ///
-/// Worklist formulation: a class is re-evaluated only when one of its child
-/// classes improves, found through a parents index — the old full-resweep
-/// fixpoint re-scanned every e-node of every class per round. Per-node costs
-/// and canonical child slots are cached once up front, so each re-evaluation
-/// is a flat array scan. Choice ties resolve to the first e-node in class
-/// order attaining the minimum, which is also what the resweep converged to.
+/// Settle-once formulation (Knuth's generalization of Dijkstra's algorithm
+/// to superior functions, IPL 6(1), 1977): an option's total, cost + Σ child
+/// best, is never below any child's best, so the cheapest pending option
+/// anywhere is final. Each option counts its unsettled child occurrences;
+/// when the last one settles its total is summed once and it joins a
+/// min-heap keyed by (total, option index). A class settles when its first
+/// option pops and is never evaluated again: O((V+E) log V).
+///
+/// Choice rule: among the class's options whose children all settled before
+/// it, the first in class order whose total is within 1e-12 of the best.
+/// Every chosen child settled strictly earlier, so the choice is acyclic by
+/// construction, even under zero-cost view ties (reshape round trips).
 std::unordered_map<Id, TNode> greedy_selection(const EGraph& eg, const CostModel& model,
                                                const std::vector<Id>& classes) {
   const size_t n = classes.size();
@@ -56,77 +63,82 @@ std::unordered_map<Id, TNode> greedy_selection(const EGraph& eg, const CostModel
   struct Option {
     const TNode* node;
     double cost;
+    uint32_t cls;                             // owning class slot
     uint32_t children_first, children_count;  // into child_slots
   };
   std::vector<Option> options;
   std::vector<uint32_t> child_slots;
-  std::vector<std::pair<uint32_t, uint32_t>> class_options(n);  // (first, count)
-  std::vector<std::vector<uint32_t>> parents(n);
+  std::vector<uint32_t> class_first(n + 1);  // class s owns [first[s], first[s+1])
   for (size_t s = 0; s < n; ++s) {
-    class_options[s].first = static_cast<uint32_t>(options.size());
+    class_first[s] = static_cast<uint32_t>(options.size());
     for (const EClassNode& e : eg.eclass(classes[s]).nodes) {
       if (e.filtered) continue;
       Option o;
       o.node = &e.node;
       o.cost = enode_cost(eg, classes[s], e.node, model);
+      o.cls = static_cast<uint32_t>(s);
       o.children_first = static_cast<uint32_t>(child_slots.size());
-      for (Id c : e.node.children) {
-        const uint32_t cs = static_cast<uint32_t>(slot[eg.find(c)]);
-        child_slots.push_back(cs);
-        parents[cs].push_back(static_cast<uint32_t>(s));
-      }
+      for (Id c : e.node.children)
+        child_slots.push_back(static_cast<uint32_t>(slot[eg.find(c)]));
       o.children_count = static_cast<uint32_t>(child_slots.size()) - o.children_first;
       options.push_back(o);
     }
-    class_options[s].second =
-        static_cast<uint32_t>(options.size()) - class_options[s].first;
   }
-  for (std::vector<uint32_t>& p : parents) {
-    std::sort(p.begin(), p.end());
-    p.erase(std::unique(p.begin(), p.end()), p.end());
+  class_first[n] = static_cast<uint32_t>(options.size());
+
+  // Uses index (CSR): for each class, the options holding it as a child, one
+  // entry per occurrence so the pending counts reach zero exactly.
+  std::vector<uint32_t> use_first(n + 1, 0);
+  for (uint32_t c : child_slots) ++use_first[c + 1];
+  for (size_t s = 0; s < n; ++s) use_first[s + 1] += use_first[s];
+  std::vector<uint32_t> uses(child_slots.size());
+  {
+    std::vector<uint32_t> fill(use_first.begin(), use_first.end() - 1);
+    for (uint32_t k = 0; k < options.size(); ++k) {
+      const Option& o = options[k];
+      for (uint32_t j = o.children_first; j < o.children_first + o.children_count; ++j)
+        uses[fill[child_slots[j]]++] = k;
+    }
+  }
+
+  std::vector<uint32_t> pending(options.size());
+  std::vector<double> total(options.size(), kHuge);
+  using Entry = std::pair<double, uint32_t>;  // (total, option index)
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
+  for (uint32_t k = 0; k < options.size(); ++k) {
+    pending[k] = options[k].children_count;
+    if (pending[k] == 0 && options[k].cost < kHuge) {
+      total[k] = options[k].cost;
+      heap.emplace(total[k], k);
+    }
   }
 
   std::vector<double> best(n, kHuge);
   std::vector<const TNode*> choice(n, nullptr);
-  std::vector<char> queued(n, 1);
-  // Seed deepest-first: reachable_classes is a root-first DFS and the
-  // worklist pops from the back, so pushing in slot order evaluates deep
-  // classes before their parents and most classes settle on their first
-  // evaluation.
-  std::vector<uint32_t> work(n);
-  for (size_t s = 0; s < n; ++s) work[s] = static_cast<uint32_t>(s);
-  while (!work.empty()) {
-    const uint32_t s = work.back();
-    work.pop_back();
-    queued[s] = 0;
-    double new_best = kHuge;
-    const TNode* new_choice = nullptr;
-    const auto [first, count] = class_options[s];
-    for (uint32_t k = first; k < first + count; ++k) {
-      const Option& o = options[k];
-      double total = o.cost;
-      for (uint32_t j = o.children_first; j < o.children_first + o.children_count;
-           ++j) {
-        const double child_cost = best[child_slots[j]];
-        if (child_cost == kHuge) {
-          total = kHuge;
-          break;
-        }
-        total += child_cost;
-      }
-      if (total < new_best - 1e-12) {
-        new_best = total;
-        new_choice = o.node;
+  while (!heap.empty()) {
+    const uint32_t s = options[heap.top().second].cls;
+    const double s_best = heap.top().first;
+    heap.pop();
+    if (choice[s] != nullptr) continue;  // already settled
+    best[s] = s_best;
+    // Options using s itself are released only below, after the choice, so
+    // pending == 0 means every child settled strictly before s.
+    for (uint32_t k = class_first[s]; k < class_first[s + 1]; ++k) {
+      if (pending[k] == 0 && total[k] <= s_best + 1e-12) {
+        choice[s] = options[k].node;
+        break;
       }
     }
-    if (new_best < best[s] - 1e-12) {
-      best[s] = new_best;
-      choice[s] = new_choice;
-      for (uint32_t p : parents[s]) {
-        if (!queued[p]) {
-          queued[p] = 1;
-          work.push_back(p);
-        }
+    for (uint32_t u = use_first[s]; u < use_first[s + 1]; ++u) {
+      const uint32_t k = uses[u];
+      if (--pending[k] != 0 || choice[options[k].cls] != nullptr) continue;
+      const Option& o = options[k];
+      double t = o.cost;
+      for (uint32_t j = o.children_first; j < o.children_first + o.children_count; ++j)
+        t += best[child_slots[j]];
+      if (t < kHuge) {
+        total[k] = t;
+        heap.emplace(t, k);
       }
     }
   }
@@ -134,6 +146,22 @@ std::unordered_map<Id, TNode> greedy_selection(const EGraph& eg, const CostModel
   std::unordered_map<Id, TNode> result;
   for (size_t s = 0; s < n; ++s)
     if (choice[s] != nullptr) result.emplace(classes[s], *choice[s]);
+  return result;
+}
+
+/// The greedy graph for an already computed greedy selection.
+ExtractionResult greedy_result(const EGraph& eg, const CostModel& model,
+                               const std::unordered_map<Id, TNode>& selection) {
+  ExtractionResult result;
+  const Id root = eg.root();
+  if (!selection.count(root)) return result;  // no finite extraction
+
+  auto graph = build_selected_graph(eg, root, selection);
+  if (!graph.has_value()) return result;
+  result.graph = std::move(*graph);
+  result.graph.single_root();
+  result.cost = graph_cost(result.graph, model);
+  result.ok = true;
   return result;
 }
 
@@ -185,19 +213,8 @@ std::optional<Graph> build_selected_graph(
 }
 
 ExtractionResult extract_greedy(const EGraph& eg, const CostModel& model) {
-  ExtractionResult result;
-  const Id root = eg.root();
-  const std::vector<Id> classes = reachable_classes(eg, root);
-  const auto choice = greedy_selection(eg, model, classes);
-  if (!choice.count(root)) return result;  // no finite extraction
-
-  auto graph = build_selected_graph(eg, root, choice);
-  if (!graph.has_value()) return result;
-  result.graph = std::move(*graph);
-  result.graph.single_root();
-  result.cost = graph_cost(result.graph, model);
-  result.ok = true;
-  return result;
+  return greedy_result(eg, model,
+                       greedy_selection(eg, model, reachable_classes(eg, eg.root())));
 }
 
 IlpExtractionResult extract_ilp(const EGraph& eg, const CostModel& model,
@@ -441,9 +458,9 @@ IlpExtractionResult extract_ilp(const EGraph& eg, const CostModel& model,
   std::unordered_map<Id, TNode> greedy_sel;
   std::optional<std::vector<double>> warm;
   if (options.warm_start_with_greedy) {
-    greedy = extract_greedy(eg, model);
     greedy_sel = greedy_selection(eg, model, classes);
-    if (greedy.ok && greedy_sel.count(root) > 0) {
+    greedy = greedy_result(eg, model, greedy_sel);
+    if (greedy.ok) {
       if (auto x = selection_to_x(greedy_sel); x && lp.feasible(*x, 1e-6))
         warm = std::move(x);
     }

@@ -12,16 +12,24 @@
 //    so costs must match exactly.
 //  * cyclic with constraints (4)-(5): no filtering; both paths must agree on
 //    the optimal acyclic selection cost.
+//
+// A third regime checks greedy extraction alone: its graph's tree cost
+// (shared subgraphs counted once per use) must equal the per-class minimum
+// tree cost of a plain full-resweep fixpoint, on the fuzz e-graphs and on
+// explored tiny models.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cycles/cycles.h"
 #include "extract/engine/engine.h"
 #include "extract/extract.h"
+#include "models/models.h"
 #include "optimizer/optimizer.h"
+#include "rewrite/rules.h"
 #include "support/rng.h"
 
 namespace tensat {
@@ -233,6 +241,86 @@ TEST(ExtractFuzz, IntegerTopoVariantParity) {
     if (engine.ok && mono.ok)
       EXPECT_NEAR(engine.cost, mono.cost, 1e-6 + 1e-9 * std::abs(mono.cost))
           << "seed " << seed;
+  }
+}
+
+// ---- Greedy optimality: the extracted tree cost is the DP minimum ---------
+
+/// Root minimum of the per-class tree cost, cost(n) + Σ best(child), by
+/// re-sweeping every class until nothing improves (the textbook fixpoint the
+/// settle-once greedy DP must reproduce).
+double resweep_root_min(const EGraph& eg, const CostModel& m) {
+  std::unordered_map<Id, double> best;
+  for (Id cls : eg.canonical_classes()) best[cls] = kInf;
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (auto& [cls, cls_best] : best) {
+      for (const EClassNode& e : eg.eclass(cls).nodes) {
+        if (e.filtered) continue;
+        double total = enode_cost(eg, cls, e.node, m);
+        for (Id c : e.node.children) total += best.at(eg.find(c));
+        if (total < cls_best - 1e-12) {
+          cls_best = total;
+          changed = true;
+        }
+      }
+    }
+  }
+  return best.at(eg.root());
+}
+
+/// Tree cost of an extracted graph's root: every use of a shared node pays
+/// for its whole subtree again, as the greedy DP prices it.
+double tree_cost(const Graph& g, const CostModel& m) {
+  std::vector<double> tree(g.size(), 0.0);
+  for (Id id : g.topo_order()) {
+    const TNode& n = g.node(id);
+    std::vector<ValueInfo> inputs;
+    double children = 0.0;
+    for (Id c : n.children) {
+      inputs.push_back(g.info(c));
+      children += tree[c];
+    }
+    tree[id] = node_cost(m, n, inputs, g.info(id)) + children;
+  }
+  return tree[g.roots().at(0)];
+}
+
+void expect_greedy_optimal(const EGraph& eg, const std::string& what) {
+  const double root_min = resweep_root_min(eg, model());
+  const ExtractionResult greedy = extract_greedy(eg, model());
+  ASSERT_EQ(greedy.ok, root_min < kInf) << what;
+  if (!greedy.ok) return;
+  EXPECT_NEAR(tree_cost(greedy.graph, model()), root_min, 1e-6 + 1e-9 * root_min)
+      << what;
+}
+
+TEST(ExtractFuzz, GreedyTreeCostMatchesResweepFixpoint) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed * 0xe7037ed1a0b428dbull);
+    Graph g = random_graph(rng);
+    EGraph eg = seed_egraph(g);
+    random_merges(eg, rng, static_cast<int>(rng.range(0, 10)));
+    random_filtering(eg, rng, static_cast<int>(rng.range(0, 4)));
+    // Cyclic regime first (cycles left in), then the same e-graph with its
+    // cycles filtered.
+    expect_greedy_optimal(eg, "cyclic seed " + std::to_string(seed));
+    filter_cycles(eg);
+    expect_greedy_optimal(eg, "acyclic seed " + std::to_string(seed));
+  }
+}
+
+TEST(ExtractFuzz, GreedyTreeCostMatchesResweepOnExploredModels) {
+  for (const ModelInfo& m : tiny_models()) {
+    for (const int k_multi : {1, 2}) {
+      TensatOptions opt;
+      opt.k_max = 4;
+      opt.k_multi = k_multi;
+      opt.node_limit = 3000;
+      EGraph eg = seed_egraph(m.graph);
+      run_exploration(eg, default_rules(), opt);
+      expect_greedy_optimal(eg, m.name + " k_multi " + std::to_string(k_multi));
+    }
   }
 }
 

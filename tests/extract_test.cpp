@@ -93,6 +93,57 @@ TEST(Extract, PicksCheaperAlternative) {
   EXPECT_NEAR(ilp.cost, greedy.cost, 1e-6);
 }
 
+TEST(Extract, GreedyZeroCostTieIsAcyclic) {
+  // x's class also holds reshape(reshape(x, {64}), {8, 8}): a zero-cost view
+  // round trip that ties with the input leaf, closes a cycle, and comes
+  // first in class order. Greedy must keep the leaf, not the cycle.
+  Graph g;
+  const Id x = g.input("x", {8, 8});
+  g.add_root(g.relu(x));
+  EGraph eg = seed_egraph(g);
+  Graph g2;
+  const Id x2 = g2.input("x", {8, 8});
+  const Id round_trip = g2.reshape(g2.reshape(x2, {64}), {8, 8});
+  g2.add_root(round_trip);
+  auto m2 = eg.add_graph(g2);
+  eg.merge(m2.at(round_trip), m2.at(x2));
+  eg.rebuild();
+  const auto& x_nodes = eg.eclass(m2.at(x2)).nodes;
+  ASSERT_EQ(x_nodes.size(), 2u);
+  ASSERT_EQ(x_nodes[0].node.op, Op::kReshape);
+
+  const ExtractionResult greedy = extract_greedy(eg, model());
+  ASSERT_TRUE(greedy.ok);
+  EXPECT_EQ(greedy.graph.canonical_key(), g.canonical_key());
+  EXPECT_NEAR(greedy.cost, graph_cost(g, model()), 1e-9);
+
+  // Equal-cost options that are both ready: a root class holding tanh(x)
+  // and sigmoid(x) picks whichever comes first in the class, for both merge
+  // orders.
+  const FixedCostModel flat({{Op::kTanh, 1.0}, {Op::kSigmoid, 1.0}});
+  for (const bool tanh_first : {true, false}) {
+    Graph t;
+    const Id tx = t.input("x", {8, 8});
+    t.add_root(tanh_first ? t.tanh(tx) : t.sigmoid(tx));
+    EGraph tie = seed_egraph(t);
+    Graph t2;
+    const Id tx2 = t2.input("x", {8, 8});
+    const Id other = tanh_first ? t2.sigmoid(tx2) : t2.tanh(tx2);
+    t2.add_root(other);
+    auto mt = tie.add_graph(t2);
+    tie.merge(tie.root(), mt.at(other));
+    tie.rebuild();
+    const auto& nodes = tie.eclass(tie.root()).nodes;
+    ASSERT_EQ(nodes.size(), 2u);
+    ASSERT_NE(nodes[0].node.op, nodes[1].node.op);
+
+    const ExtractionResult picked = extract_greedy(tie, flat);
+    ASSERT_TRUE(picked.ok);
+    EXPECT_EQ(picked.graph.node(picked.graph.roots().at(0)).op, nodes[0].node.op)
+        << "tanh_first=" << tanh_first;
+  }
+}
+
 /// Applies the paper's Fig. 2 multi-pattern rule (two matmuls sharing an
 /// operand merge into one matmul over concatenated weights, recovered with
 /// splits) to every compatible match pair, then rebuilds. Returns true if at
