@@ -1,8 +1,8 @@
 // tensat_profile — the profiling CLI for the tracing/telemetry layer
 // (src/trace, docs/OBSERVABILITY.md).
 //
-// Runs the full TENSAT pipeline (explore + ILP extract) on one model with a
-// trace::Tracer installed, then emits:
+// Runs the full TENSAT pipeline (explore + ILP or greedy extract) on one
+// model with a trace::Tracer installed, then emits:
 //   * trace.json — Chrome trace-event JSON; load it in chrome://tracing or
 //     https://ui.perfetto.dev to see per-thread spans for search / plan /
 //     commit / rebuild / dmap / sweep and the per-core extraction solves,
@@ -12,18 +12,28 @@
 //     e-graph growth timeline, on stdout.
 //
 // Usage: tensat_profile <model> [options]
-//   <model>: bert | nasrnn | inception | sharedmm | tiny-bert
+//   <model>: bert | nasrnn | inception | sharedmm | tiny-bert, or any
+//            paper_models() name at paper scale (NasRNN, BERT, ResNeXt-50,
+//            NasNet-A, SqueezeNet, VGG-19, Inception-v3)
 //   -o FILE        trace output path (default trace.json)
 //   --k-max N      exploration iterations (default 6)
 //   --k-multi N    multi-pattern iterations (default 1)
 //   --node-limit N e-graph size cap (default 5000)
 //   --threads N    search/apply worker threads (default 0 = hardware)
 //   --top N        rule-profile rows to print (default 25, 0 = all)
+//   --greedy       greedy extraction instead of ILP
+//
+// A row of the end-to-end benchmark's saturate workload, e.g. BERT at
+// k_multi 2, profiles as:
+//   tensat_profile BERT --k-max 15 --k-multi 2 --node-limit 50000 --greedy
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_common.h"
 #include "models/models.h"
@@ -39,10 +49,13 @@ namespace {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s <bert|nasrnn|inception|sharedmm|tiny-bert> "
-               "[-o trace.json] [--k-max N] [--k-multi N] [--node-limit N] "
-               "[--threads N] [--top N]\n",
+               "usage: %s <bert|nasrnn|inception|sharedmm|tiny-bert|"
+               "<paper model>> [-o trace.json] [--k-max N] [--k-multi N] "
+               "[--node-limit N] [--threads N] [--top N] [--greedy]\n"
+               "paper models:",
                argv0);
+  for (const ModelInfo& m : paper_models()) std::fprintf(stderr, " %s", m.name.c_str());
+  std::fprintf(stderr, "\n");
   return 2;
 }
 
@@ -99,6 +112,8 @@ int main(int argc, char** argv) {
       options.apply_threads = n;
     } else if (std::strcmp(argv[i], "--top") == 0)
       top_n = static_cast<size_t>(std::atol(need_value("--top")));
+    else if (std::strcmp(argv[i], "--greedy") == 0)
+      options.extractor = ExtractorKind::kGreedy;
     else
       return usage(argv[0]);
   }
@@ -114,8 +129,13 @@ int main(int argc, char** argv) {
     g = make_sharedmm();
   else if (model == "tiny-bert")  // CI smoke scale
     g = make_bert(1, 4, 8);
-  else
-    return usage(argv[0]);
+  else {
+    std::vector<ModelInfo> paper = paper_models();
+    const auto it = std::find_if(paper.begin(), paper.end(),
+                                 [&](const ModelInfo& m) { return m.name == model; });
+    if (it == paper.end()) return usage(argv[0]);
+    g = std::move(it->graph);
+  }
 
   const T4CostModel& cost = bench::cost_model();
   std::printf("tensat_profile: %s (%zu operators), build %s/%s\n", model.c_str(),
@@ -146,7 +166,8 @@ int main(int argc, char** argv) {
                                                                : "iter-limit",
               result.extract_seconds, summary.events, out_path.c_str());
   trace::print_explore_phases(stdout, result.explore, "explore phases");
-  trace::print_extract_phases(stdout, result.extract_stats, "extract phases");
+  if (options.extractor == ExtractorKind::kIlp)
+    trace::print_extract_phases(stdout, result.extract_stats, "extract phases");
 
   std::printf("\nper-iteration e-graph growth:\n");
   trace::print_growth_timeline(stdout, result.explore);

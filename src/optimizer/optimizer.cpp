@@ -9,19 +9,24 @@
 #include "rewrite/multi.h"
 #include "support/check.h"
 #include "support/parallel.h"
+#include "support/span.h"
 #include "support/timer.h"
 #include "trace/trace.h"
 
 namespace tensat {
 namespace {
 
-/// One pending application: the rule, the per-source matched root classes,
-/// and the combined substitution.
+/// One pending application, by reference into this iteration's match sets
+/// (alive until the iteration ends): the rule, its matched root classes (one
+/// per source pattern) and the match's substitution. A single-pattern rule's
+/// substitution still carries the canonical pattern's variable names; stage 1
+/// renames it into its chunk's scratch.
 struct Application {
-  const Rewrite* rule;
-  size_t rule_index;  // into the rules vector (per-rule telemetry key)
-  std::vector<Id> src_classes;
-  Subst subst;
+  uint32_t rule_index;  // into the rules vector (per-rule telemetry key)
+  uint32_t num_roots;
+  const Id* roots;
+  const Subst* subst;
+  [[nodiscard]] span<const Id> src_classes() const { return {roots, num_roots}; }
 };
 
 /// The read-only checks stage-1 planning runs first: the rule condition on
@@ -29,21 +34,21 @@ struct Application {
 /// (Algorithm 2, lines 3-9) — skip the substitution if a matched class is a
 /// descendant of (or is) a class we would merge into. Pure reads; on a clean
 /// e-graph, safe for concurrent callers.
-bool passes_read_only_checks(const EGraph& eg, const Application& app,
+bool passes_read_only_checks(const EGraph& eg, const Rewrite& rule,
+                             span<const Id> src_classes, const Subst& subst,
                              CycleFilterMode mode, const ReachabilityMap* dmap) {
-  const Rewrite& rule = *app.rule;
   if (rule.cond) {
     auto lookup = [&](Symbol var) -> const ValueInfo& {
-      auto bound = app.subst.get(var);
+      auto bound = subst.get(var);
       TENSAT_CHECK(bound.has_value(), "condition references unbound ?" << var.str());
       return eg.data(*bound);
     };
     if (!rule.check_cond(lookup)) return false;
   }
   if (mode == CycleFilterMode::kEfficient && dmap != nullptr) {
-    for (Id src : app.src_classes) {
+    for (Id src : src_classes) {
       const Id a = eg.find(src);
-      for (const auto& [var, cls] : app.subst.bindings()) {
+      for (const auto& [var, cls] : subst.bindings()) {
         const Id c = eg.find(cls);
         if (c == a || dmap->reaches(c, a)) return false;
       }
@@ -78,11 +83,19 @@ struct SecondsGuard {
 /// worker count and scheduling cannot influence any plan.
 constexpr size_t kPlanChunk = 128;
 
+/// Stage 1 and the stage-2 resolve run in waves of whole chunks: the first
+/// wave plans this many chunks, each later wave doubles the previous one,
+/// and no chunk is planned once the resolve has hit the node or time limit.
+/// A constant (never derived from the thread count), so which chunks get
+/// planned — and every trace span count — is thread-invariant.
+constexpr size_t kFirstWaveChunks = 8;
+
 struct PlanChunk {
   explicit PlanChunk(const EGraph& eg) : buf(eg) {}
   NodeBuffer buf;
   std::vector<Id> targets;  // concatenated target lists of the chunk's apps
   std::vector<Id> memo;     // plan_instantiate scratch, reused across apps
+  Subst subst;              // de-canonicalization scratch, reused across apps
 };
 
 /// Stage-1 result for one pending application: its slice of the chunk's
@@ -97,17 +110,25 @@ struct ApplyPlan {
 /// condition, the efficient-cycle pre-filter, and plans the target
 /// instantiation against the clean e-graph snapshot. An instantiation is
 /// all-or-nothing: a shape failure drops the whole plan, so no partial nodes
-/// ever reach the e-graph. Writes only into `plan` and `chunk`.
-void plan_application(const EGraph& eg, const Application& app, ApplyPlan& plan,
-                      PlanChunk& chunk, CycleFilterMode mode,
+/// ever reach the e-graph. `rename` is the single-pattern rule's
+/// canonical -> original variable map (null for multi-pattern rules, whose
+/// joint matches already use the rule's names). Writes only into `plan` and
+/// `chunk`.
+void plan_application(const EGraph& eg, const Rewrite& rule, const Application& app,
+                      const std::vector<std::pair<Symbol, Symbol>>* rename,
+                      ApplyPlan& plan, PlanChunk& chunk, CycleFilterMode mode,
                       const ReachabilityMap* dmap) {
-  const Rewrite& rule = *app.rule;
-  if (!passes_read_only_checks(eg, app, mode, dmap)) return;
+  const Subst* subst = app.subst;
+  if (rename != nullptr) {
+    decanonicalize(*app.subst, *rename, chunk.subst);
+    subst = &chunk.subst;
+  }
+  const span<const Id> src_classes = app.src_classes();
+  if (!passes_read_only_checks(eg, rule, src_classes, *subst, mode, dmap)) return;
 
   plan.targets_first = static_cast<uint32_t>(chunk.targets.size());
   for (Id dst_root : rule.dst_roots) {
-    auto target =
-        plan_instantiate(chunk.buf, rule.pat, dst_root, app.subst, chunk.memo);
+    auto target = plan_instantiate(chunk.buf, rule.pat, dst_root, *subst, chunk.memo);
     if (!target.has_value()) {  // shape check failed
       chunk.targets.resize(plan.targets_first);
       return;
@@ -115,7 +136,7 @@ void plan_application(const EGraph& eg, const Application& app, ApplyPlan& plan,
     chunk.targets.push_back(*target);
   }
   for (size_t k = 0; k < rule.dst_roots.size(); ++k) {
-    if (!merge_sound(eg.data(app.src_classes[k]),
+    if (!merge_sound(eg.data(src_classes[k]),
                      chunk.buf.data(chunk.targets[plan.targets_first + k]))) {
       chunk.targets.resize(plan.targets_first);
       return;
@@ -381,10 +402,11 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
 
     // APPLY. The phase is a pipeline (mirroring egg's deferred-invariant
     // design): COLLECT enumerates the pending applications per rule, stage 1
-    // evaluates every application read-only (fans out over apply_threads),
-    // stage 2 commits the batch (serial resolve, sharded insert, serial
-    // merges in plan order — the determinism anchor), and stage 3 is the
-    // single rebuild below.
+    // evaluates them read-only (fans out over apply_threads) and stage 2
+    // commits them (serial resolve, sharded insert, serial merges in plan
+    // order — the determinism anchor); stage 3 is the single rebuild below.
+    // Stage 1 and the resolve alternate in waves of chunks, so applications
+    // past the node limit are never planned.
     //
     // COLLECT walks rules with multi-pattern rules first: they introduce the
     // merged operators the search is really after, and must not be starved
@@ -404,38 +426,37 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
     const double collect_start_us = tracer != nullptr ? tracer->now_us() : 0.0;
     std::vector<Application> apps;
     for (size_t r : rule_order) {
-      // Enumeration of a huge match product can itself be slow; a coarse
-      // per-rule check keeps collect bounded by the time limit (stage 2
-      // notices the blown limit and records the stop reason).
+      // A coarse per-rule check keeps collect bounded by the time limit
+      // (stage 2 notices the blown limit and records the stop reason).
       if (timer.seconds() > options.explore_time_limit_s) break;
-      const Rewrite& rule = rules[r];
       if (!rule_active(r)) continue;
       const SecondsGuard rule_guard(stats.rules[r].seconds);
+      const uint32_t rule_index = static_cast<uint32_t>(r);
+      // Multi-pattern rules take the compatible combinations their joint
+      // search produced, shared variables bound once; single-pattern rules
+      // take their one source pattern's matches, which stage 1
+      // de-canonicalizes back to the rule's variable names (Algorithm 1
+      // lines 12-15).
+      const bool multi = rules[r].is_multi();
+      const size_t pattern = plan.rule_sources[r][0].pattern_index;
+      const size_t n = multi ? joint_matches[r].size() : matches[pattern].size();
+      // The budget admits the first `budget` matches; counting one more is
+      // what trips the scheduler's ban.
       const size_t budget = scheduler.match_limit(r);
-      size_t matched = 0;
-      // Queues one match; false once the budget is blown (record_matches
-      // below then imposes the ban).
-      auto queue = [&](std::vector<Id> roots, Subst subst) {
-        ++matched;
-        ++stats.rules[r].matches;
-        if (matched > budget) return false;
-        ++stats.rules[r].planned;
-        apps.push_back(Application{&rule, r, std::move(roots), std::move(subst)});
-        return true;
-      };
-      if (rule.is_multi()) {
-        // The joint search already produced the compatible combinations,
-        // shared variables bound once.
-        for (const ematch::JointMatch& jm : joint_matches[r]) {
-          ++stats.multi_matches_found;
-          if (!queue(jm.roots, jm.subst)) break;
+      const size_t matched = n > budget ? budget + 1 : n;
+      const size_t queued = std::min(n, budget);
+      stats.rules[r].matches += matched;
+      stats.rules[r].planned += queued;
+      if (multi) stats.multi_matches_found += matched;
+      for (size_t i = 0; i < queued; ++i) {
+        if (multi) {
+          const ematch::JointMatch& jm = joint_matches[r][i];
+          apps.push_back(Application{rule_index, static_cast<uint32_t>(jm.roots.size()),
+                                     jm.roots.data(), &jm.subst});
+        } else {
+          const PatternMatch& pm = matches[pattern][i];
+          apps.push_back(Application{rule_index, 1, &pm.root, &pm.subst});
         }
-      } else {
-        // The rule's one source pattern, de-canonicalized back to the rule's
-        // variable names (Algorithm 1 lines 12-15).
-        const SourceBinding& sb = plan.rule_sources[r][0];
-        for (const PatternMatch& m : matches[sb.pattern_index])
-          if (!queue({m.root}, decanonicalize(m.subst, sb.rename))) break;
       }
       if (scheduler.record_matches(r, iter_base + static_cast<size_t>(iter), matched))
         ++stats.bans, ++stats.rules[r].bans;
@@ -443,92 +464,110 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
     if (tracer != nullptr)
       tracer->record_span("explore/collect", collect_start_us, tracer->now_us());
 
-    // STAGE 1 (parallel, read-only): chunks of applications plan against
-    // the clean e-graph; workers share only the e-graph and the descendants
-    // map. Which worker plans which chunk is scheduling-dependent; the
-    // chunks and their plans are not.
+    // STAGES 1 + 2a, in waves of chunks. Stage 1 (parallel, read-only): a
+    // wave's chunks plan against the clean e-graph; workers share only the
+    // e-graph and the descendants map. Which worker plans which chunk is
+    // scheduling-dependent; the chunks and their plans are not.
+    //
+    // Stage 2a: a serial resolve in plan order assigns every fresh node a
+    // dense final id (a pure function of the plans — independent of all
+    // thread counts). Limits are enforced between applications: the node
+    // check counts the pending batch, and an application either resolves
+    // fully or not at all (per-app atomicity). Hitting either limit ends
+    // the waves — nothing later is planned — and exceeding the time limit
+    // stops the whole apply phase (the stop reason is recorded after the
+    // rebuild below).
     const size_t num_chunks = (apps.size() + kPlanChunk - 1) / kPlanChunk;
+    // Reserved up front: resolved nodes keep pointers into the chunk arenas
+    // until commit_prepared, so the chunks must never move.
     std::vector<PlanChunk> chunks;
     chunks.reserve(num_chunks);
-    for (size_t c = 0; c < num_chunks; ++c) chunks.emplace_back(eg);
     std::vector<ApplyPlan> plans(apps.size());
+    BatchCommit bc;
+    bc.base = static_cast<Id>(eg.num_ids());
+    struct ResolvedApp {
+      uint32_t app_index;
+      uint32_t targets_first;
+      uint32_t targets_count;
+    };
+    std::vector<ResolvedApp> resolved;
+    std::vector<Id> final_targets;
+    std::vector<Id> memo;  // the resolving chunk's staged id -> final id
+    bool hit_node_limit = false;
+    bool hit_time_limit = false;
     // Rule conditions are arbitrary user callbacks, so planning itself can
     // blow the time limit: every worker re-checks it per application and the
     // abort flag stops the rest of the pool. Un-planned applications simply
-    // stay non-viable — stage 2 sees the blown limit immediately and stops
-    // the phase. (Node limits need no stage-1 check: planning never grows
-    // the e-graph.)
+    // stay non-viable — the resolve sees the blown limit immediately and
+    // stops the phase. (Node limits need no stage-1 check: planning never
+    // grows the e-graph.)
     std::atomic<bool> plan_timed_out{false};
-    {
-      const trace::ScopedSpan plan_span("explore/plan");
-      parallel_for(num_chunks, options.apply_threads, [&](size_t c) {
-        // Per-chunk span on the worker's own lane: the per-thread view of
-        // stage-1 occupancy (arg = chunk index).
-        const trace::ScopedSpan chunk_span("apply/plan_chunk",
-                                           static_cast<int64_t>(c));
-        const size_t begin = c * kPlanChunk;
-        const size_t end = std::min(begin + kPlanChunk, apps.size());
-        for (size_t i = begin; i < end; ++i) {
-          if (plan_timed_out.load(std::memory_order_relaxed)) return;
-          if (timer.seconds() > options.explore_time_limit_s) {
-            plan_timed_out.store(true, std::memory_order_relaxed);
-            return;
+    size_t wave_chunks = kFirstWaveChunks;
+    for (size_t wave = 0, first_chunk = 0;
+         first_chunk < num_chunks && !hit_node_limit && !hit_time_limit;
+         ++wave, first_chunk += wave_chunks, wave_chunks *= 2) {
+      const size_t end_chunk = std::min(first_chunk + wave_chunks, num_chunks);
+      for (size_t c = first_chunk; c < end_chunk; ++c) chunks.emplace_back(eg);
+      {
+        const trace::ScopedSpan plan_span("explore/plan", static_cast<int64_t>(wave));
+        parallel_for(end_chunk - first_chunk, options.apply_threads, [&](size_t k) {
+          const size_t c = first_chunk + k;
+          // Per-chunk span on the worker's own lane: the per-thread view of
+          // stage-1 occupancy (arg = chunk index).
+          const trace::ScopedSpan chunk_span("apply/plan_chunk",
+                                             static_cast<int64_t>(c));
+          const size_t begin = c * kPlanChunk;
+          const size_t end = std::min(begin + kPlanChunk, apps.size());
+          for (size_t i = begin; i < end; ++i) {
+            if (plan_timed_out.load(std::memory_order_relaxed)) return;
+            if (timer.seconds() > options.explore_time_limit_s) {
+              plan_timed_out.store(true, std::memory_order_relaxed);
+              return;
+            }
+            const Rewrite& rule = rules[apps[i].rule_index];
+            plan_application(
+                eg, rule, apps[i],
+                rule.is_multi() ? nullptr : &plan.rule_sources[apps[i].rule_index][0].rename,
+                plans[i], chunks[c], options.cycle_filter, reach);
           }
-          plan_application(eg, apps[i], plans[i], chunks[c],
-                           options.cycle_filter, reach);
+        });
+      }
+      const trace::ScopedSpan resolve_span("explore/resolve", static_cast<int64_t>(wave));
+      for (size_t c = first_chunk; c < end_chunk && !hit_node_limit && !hit_time_limit;
+           ++c) {
+        const PlanChunk& chunk = chunks[c];
+        memo.assign(chunk.buf.size(), kInvalidId);
+        const size_t end = std::min((c + 1) * kPlanChunk, apps.size());
+        for (size_t i = c * kPlanChunk; i < end; ++i) {
+          if (eg.num_enodes_total() + bc.prepared.size() >= options.node_limit) {
+            hit_node_limit = true;
+            break;
+          }
+          if (timer.seconds() > options.explore_time_limit_s) {
+            hit_time_limit = true;
+            break;
+          }
+          if (!plans[i].viable) continue;
+          RuleTelemetry& rt = stats.rules[apps[i].rule_index];
+          const SecondsGuard resolve_guard(rt.seconds);
+          size_t fresh = 0;
+          const uint32_t first = static_cast<uint32_t>(final_targets.size());
+          for (uint32_t k = 0; k < plans[i].targets_count; ++k) {
+            final_targets.push_back(resolve_staged(
+                chunk, memo, chunk.targets[plans[i].targets_first + k], bc, fresh));
+          }
+          rt.nodes_added += fresh;
+          resolved.push_back(
+              ResolvedApp{static_cast<uint32_t>(i), first, plans[i].targets_count});
         }
-      });
+      }
     }
 
-    // STAGE 2: (a) a serial resolve in plan order assigns every fresh node a
-    // dense final id (a pure function of the plans — independent of all
-    // thread counts), (b) commit_prepared inserts the whole batch with a
-    // parallel sharded fill, (c) a serial merge pass in plan order performs
-    // the unions. Limits are enforced between applications during resolve:
-    // the node check counts the pending batch, and an application either
-    // resolves fully or not at all (per-app atomicity). Exceeding the time
-    // limit stops the whole apply phase (the stop reason is recorded after
-    // the rebuild below).
-    bool hit_node_limit = false;
-    bool hit_time_limit = false;
+    // STAGE 2b + 2c: commit_prepared inserts the whole batch with a parallel
+    // sharded fill, then a serial merge pass in plan order performs the
+    // unions.
     {
       const trace::ScopedSpan commit_span("explore/commit");
-      BatchCommit bc;
-      bc.base = static_cast<Id>(eg.num_ids());
-      std::vector<std::vector<Id>> memos(chunks.size());
-      for (size_t c = 0; c < chunks.size(); ++c)
-        memos[c].assign(chunks[c].buf.size(), kInvalidId);
-      struct ResolvedApp {
-        uint32_t app_index;
-        uint32_t targets_first;
-        uint32_t targets_count;
-      };
-      std::vector<ResolvedApp> resolved;
-      std::vector<Id> final_targets;
-      for (size_t i = 0; i < apps.size(); ++i) {
-        if (eg.num_enodes_total() + bc.prepared.size() >= options.node_limit) {
-          hit_node_limit = true;
-          break;
-        }
-        if (timer.seconds() > options.explore_time_limit_s) {
-          hit_time_limit = true;
-          break;
-        }
-        if (!plans[i].viable) continue;
-        RuleTelemetry& rt = stats.rules[apps[i].rule_index];
-        const SecondsGuard resolve_guard(rt.seconds);
-        const PlanChunk& chunk = chunks[i / kPlanChunk];
-        std::vector<Id>& memo = memos[i / kPlanChunk];
-        size_t fresh = 0;
-        const uint32_t first = static_cast<uint32_t>(final_targets.size());
-        for (uint32_t k = 0; k < plans[i].targets_count; ++k) {
-          final_targets.push_back(resolve_staged(
-              chunk, memo, chunk.targets[plans[i].targets_first + k], bc, fresh));
-        }
-        rt.nodes_added += fresh;
-        resolved.push_back(
-            ResolvedApp{static_cast<uint32_t>(i), first, plans[i].targets_count});
-      }
       const Id commit_base = eg.commit_prepared(bc.prepared, options.apply_threads);
       TENSAT_CHECK(commit_base == bc.base,
                    "sharded commit base drifted: " << commit_base << " != " << bc.base);
@@ -537,17 +576,18 @@ ExploreStats run_exploration(EGraph& eg, const std::vector<Rewrite>& rules,
       // analysis values since the plan compared the snapshot.
       for (const ResolvedApp& ra : resolved) {
         const Application& app = apps[ra.app_index];
+        const span<const Id> src_classes = app.src_classes();
         RuleTelemetry& rt = stats.rules[app.rule_index];
         const SecondsGuard merge_guard(rt.seconds);
         bool sound = true;
         for (uint32_t k = 0; k < ra.targets_count && sound; ++k) {
-          sound = merge_sound(eg.data(app.src_classes[k]),
+          sound = merge_sound(eg.data(src_classes[k]),
                               eg.data(final_targets[ra.targets_first + k]));
         }
         if (!sound) continue;
         bool changed = false;
         for (uint32_t k = 0; k < ra.targets_count; ++k) {
-          const Id src = eg.find(app.src_classes[k]);
+          const Id src = eg.find(src_classes[k]);
           const Id dst = eg.find(final_targets[ra.targets_first + k]);
           if (src == dst) continue;
           // Vanilla filtering (paper §5.2): discard a merge that would close a

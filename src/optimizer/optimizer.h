@@ -58,14 +58,17 @@ struct TensatOptions {
   /// independent and partitioned into index-based chunks; stage 2's serial
   /// resolve fixes every new node's id and stamp in plan order, the sharded
   /// insert appends to each container in that order, and the serial merge
-  /// pass unions in plan order, regardless of worker scheduling. Stage 1
-  /// spawns no workers in iterations with fewer pending applications than
-  /// one chunk.
+  /// pass unions in plan order, regardless of worker scheduling. Planning
+  /// runs in waves of whole chunks (8, then 16, 32, ...), each resolved
+  /// before the next is planned; the wave sizes are constants, so where the
+  /// waves stop at a node or time limit does not depend on this value
+  /// either. Stage 1 spawns no workers for a wave of one chunk.
   ///
   /// Every iteration's apply phase runs the same steps: collect the
   /// applications per rule (multi-pattern rules through their joint search),
-  /// plan them in parallel, commit the batch (serial resolve, sharded
-  /// insert, serial merges), then rebuild once. An instantiation is
+  /// plan and resolve them wave by wave until the queue or the node budget
+  /// runs out, commit the batch (sharded insert, serial merges), then
+  /// rebuild once. An instantiation is
   /// all-or-nothing: one that fails its shape check during planning leaves
   /// no partial nodes in the e-graph. (A merge can still be dropped at
   /// commit time if earlier merges in the batch coarsened the analysis data
@@ -104,7 +107,8 @@ struct RuleTelemetry {
   /// multi-pattern rules). Truncated at budget+1 on the iteration a budget
   /// blows — the same truncation the apply phase sees.
   size_t matches{0};
-  /// Applications queued for the apply pipeline (within budget).
+  /// Applications queued for the apply pipeline (within budget);
+  /// applications past the node limit are never planned.
   size_t planned{0};
   /// Applications that actually changed the e-graph at commit.
   size_t committed{0};

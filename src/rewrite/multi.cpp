@@ -66,12 +66,18 @@ MultiPlan build_multi_plan(const std::vector<Rewrite>& rules) {
 Subst decanonicalize(const Subst& subst,
                      const std::vector<std::pair<Symbol, Symbol>>& rename) {
   Subst out;
+  decanonicalize(subst, rename, out);
+  return out;
+}
+
+void decanonicalize(const Subst& subst,
+                    const std::vector<std::pair<Symbol, Symbol>>& rename, Subst& out) {
+  out.clear();
   for (const auto& [canon, original] : rename) {
     auto bound = subst.get(canon);
     TENSAT_CHECK(bound.has_value(), "decanonicalize: missing binding for " << canon.str());
     TENSAT_CHECK(out.bind(original, *bound), "decanonicalize: conflicting binding");
   }
-  return out;
 }
 
 std::vector<ematch::JointMatch> cartesian_join(

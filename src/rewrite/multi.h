@@ -73,6 +73,10 @@ MultiPlan build_multi_plan(const std::vector<Rewrite>& rules);
 Subst decanonicalize(const Subst& subst,
                      const std::vector<std::pair<Symbol, Symbol>>& rename);
 
+/// In-place overload for hot loops: overwrites `out`, reusing its storage.
+void decanonicalize(const Subst& subst,
+                    const std::vector<std::pair<Symbol, Symbol>>& rename, Subst& out);
+
 /// The Cartesian-product join baseline: every combination of one match per
 /// source list whose substitutions agree on the variables they share, as
 /// (roots, merged substitution) tuples. Enumeration order matches the

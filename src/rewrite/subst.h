@@ -34,6 +34,9 @@ class Subst {
     return bindings_;
   }
 
+  /// Drops every binding, keeping the storage for reuse.
+  void clear() { bindings_.clear(); }
+
   /// Union of two substitutions; nullopt if they disagree on a shared var.
   static std::optional<Subst> merged(const Subst& a, const Subst& b) {
     Subst out = a;

@@ -1,7 +1,9 @@
-// The apply pipeline (optimizer/optimizer.cpp): stage 1 plans every pending
-// application read-only against the clean e-graph, stage 2 commits the batch
+// The apply pipeline (optimizer/optimizer.cpp): stage 1 plans pending
+// applications read-only against the clean e-graph, stage 2 commits the batch
 // (serial resolve, parallel sharded insert, serial merges in plan order),
-// and stage 3 is the single rebuild. These tests pin its two contracts:
+// and stage 3 is the single rebuild. Stage 1 and the resolve alternate in
+// waves of chunks, so nothing past the node limit is planned. These tests
+// pin its two contracts:
 //
 //  * determinism: the explored e-graph is bit-identical (same class ids,
 //    same e-node sets and stamps, same filtered flags, same extracted graph)
@@ -27,6 +29,7 @@
 #include "optimizer/optimizer.h"
 #include "rewrite/matcher.h"
 #include "rewrite/rules.h"
+#include "trace/trace.h"
 #include "tests/egraph_fingerprint.h"
 
 namespace tensat {
@@ -249,6 +252,45 @@ TEST(ApplyPipeline, TimeLimitMidApplyStopsPhaseAndRecordsReason) {
   EGraph eg2 = seed_egraph(g);
   const ExploreStats ok = run_exploration(eg2, rules, opt);
   EXPECT_EQ(ok.stop, StopReason::kSaturated);
+}
+
+// ---- Wave planning under the node limit ------------------------------------
+
+TEST(ApplyPipeline, NodeLimitPlansOnlyAdmittedWaves) {
+  // Tiny NasRNN at k_multi 2 queues far more applications than node_limit
+  // 2000 admits. Stage 1 plans in waves of chunks (8, 16, 32, ...) and stops
+  // once the resolve hits the limit, so only a small fraction of the queued
+  // applications' chunks may ever be planned.
+  TensatOptions opt;
+  opt.k_max = 15;
+  opt.k_multi = 2;
+  opt.node_limit = 2000;
+  const Graph g = make_nasrnn(1, 2, 8);
+
+  trace::Tracer tracer;
+  tracer.install();
+  EGraph eg = seed_egraph(g);
+  const ExploreStats stats = run_exploration(eg, default_rules(), opt);
+  tracer.uninstall();
+  ASSERT_EQ(stats.stop, StopReason::kNodeLimit);
+
+  size_t queued = 0;
+  for (const RuleTelemetry& r : stats.rules) queued += r.planned;
+  EXPECT_EQ(queued, 21888u);
+  size_t chunks_planned = 0;
+  for (const trace::Summary::SpanAgg& sp : tracer.summary().spans)
+    if (sp.name == "apply/plan_chunk") chunks_planned = sp.count;
+  EXPECT_GT(chunks_planned, 0u);
+  // Planning every queued application would take queued / 128 chunks.
+  EXPECT_LT(4 * chunks_planned, queued / 128) << chunks_planned << " chunks planned";
+
+  // Where the waves stop is thread-invariant, and so is the e-graph.
+  opt.apply_threads = 1;
+  const std::string baseline = explore_and_fingerprint(g, opt);
+  for (size_t threads : {2u, 8u}) {
+    opt.apply_threads = threads;
+    EXPECT_EQ(baseline, explore_and_fingerprint(g, opt)) << "apply_threads=" << threads;
+  }
 }
 
 // ---- Phase timing -----------------------------------------------------------

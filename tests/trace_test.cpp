@@ -285,16 +285,27 @@ struct ExploreRun {
   std::string trace_digest;
   std::vector<RuleTelemetry> rules;
   std::vector<IterationTelemetry> growth;
+  StopReason stop{StopReason::kIterLimit};
+  size_t plan_waves{0};  // explore/plan spans (one per wave; also in the digest)
 };
 
-ExploreRun explore_with_threads(size_t threads) {
+/// One exploration configuration of the determinism test.
+struct ExploreConfig {
+  std::string name;
+  Graph graph;
+  int k_max;
+  int k_multi;
+  size_t node_limit;
+};
+
+ExploreRun explore_with_threads(const ExploreConfig& cfg, size_t threads) {
   trace::Tracer tracer;
   tracer.install();
-  EGraph eg = seed_egraph(make_bert(1, 8, 32));
+  EGraph eg = seed_egraph(cfg.graph);
   TensatOptions opt;
-  opt.k_max = 4;
-  opt.k_multi = 1;
-  opt.node_limit = 3000;
+  opt.k_max = cfg.k_max;
+  opt.k_multi = cfg.k_multi;
+  opt.node_limit = cfg.node_limit;
   opt.search_threads = threads;
   opt.apply_threads = threads;
   const ExploreStats stats = run_exploration(eg, default_rules(), opt);
@@ -304,6 +315,9 @@ ExploreRun explore_with_threads(size_t threads) {
   run.trace_digest = tracer.summary().deterministic_digest();
   run.rules = stats.rules;
   run.growth = stats.growth;
+  run.stop = stats.stop;
+  for (const trace::Summary::SpanAgg& sp : tracer.summary().spans)
+    if (sp.name == "explore/plan") run.plan_waves = sp.count;
   return run;
 }
 
@@ -326,19 +340,41 @@ std::string growth_key(const std::vector<IterationTelemetry>& growth) {
 }
 
 TEST(TraceDeterminism, TelemetryIdenticalAcrossThreadCounts) {
-  const ExploreRun r1 = explore_with_threads(1);
-  for (size_t threads : {size_t{2}, size_t{8}}) {
-    const ExploreRun rn = explore_with_threads(threads);
-    EXPECT_EQ(r1.egraph_fp, rn.egraph_fp) << threads << " threads";
-    EXPECT_EQ(r1.trace_digest, rn.trace_digest) << threads << " threads";
-    EXPECT_EQ(rules_key(r1.rules), rules_key(rn.rules)) << threads << " threads";
-    EXPECT_EQ(growth_key(r1.growth), growth_key(rn.growth))
-        << threads << " threads";
+  // BERT runs to its iteration limit. Tiny NasRNN at k_multi 2 stops on the
+  // node limit in its second iteration: in the first wave at node limit
+  // 2000, in the third at 20000. That pins where the plan waves stop (the
+  // explore/plan span count sits in the digest).
+  std::vector<ExploreConfig> configs;
+  configs.push_back({"bert", make_bert(1, 8, 32), 4, 1, 3000});
+  configs.push_back({"nasrnn-n2000", make_nasrnn(1, 2, 8), 15, 2, 2000});
+  configs.push_back({"nasrnn-n20000", make_nasrnn(1, 2, 8), 15, 2, 20000});
+  std::vector<ExploreRun> serial;
+  for (const ExploreConfig& cfg : configs) {
+    const ExploreRun& r1 = serial.emplace_back(explore_with_threads(cfg, 1));
+    for (size_t threads : {size_t{2}, size_t{8}}) {
+      const ExploreRun rn = explore_with_threads(cfg, threads);
+      EXPECT_EQ(r1.egraph_fp, rn.egraph_fp) << cfg.name << ' ' << threads << " threads";
+      EXPECT_EQ(r1.trace_digest, rn.trace_digest)
+          << cfg.name << ' ' << threads << " threads";
+      EXPECT_EQ(rules_key(r1.rules), rules_key(rn.rules))
+          << cfg.name << ' ' << threads << " threads";
+      EXPECT_EQ(growth_key(r1.growth), growth_key(rn.growth))
+          << cfg.name << ' ' << threads << " threads";
+    }
+    // The digest must actually contain the instrumented phases.
+    EXPECT_NE(r1.trace_digest.find("span explore/search"), std::string::npos);
+    EXPECT_NE(r1.trace_digest.find("span explore/plan"), std::string::npos);
+    EXPECT_NE(r1.trace_digest.find("span explore/resolve"), std::string::npos);
+    EXPECT_NE(r1.trace_digest.find("span explore/commit"), std::string::npos);
+    EXPECT_NE(r1.trace_digest.find("counter egraph/hashcons"), std::string::npos);
   }
-  // The digest must actually contain the instrumented phases.
-  EXPECT_NE(r1.trace_digest.find("span explore/search"), std::string::npos);
-  EXPECT_NE(r1.trace_digest.find("span explore/commit"), std::string::npos);
-  EXPECT_NE(r1.trace_digest.find("counter egraph/hashcons"), std::string::npos);
+  // The node-limited runs must really stop mid-phase, one of them after
+  // several waves of one iteration, or they would not exercise the cut-off.
+  for (size_t c : {size_t{1}, size_t{2}}) {
+    EXPECT_EQ(serial[c].stop, StopReason::kNodeLimit) << configs[c].name;
+    EXPECT_EQ(serial[c].growth.size(), 2u) << configs[c].name;
+  }
+  EXPECT_EQ(serial[2].plan_waves, 4u);
 }
 
 TEST(TraceDeterminism, ExtractionDigestIdenticalAcrossCoreThreads) {
